@@ -18,7 +18,6 @@ from .entropy import (
     energy_flux,
     energy_potential,
     entropy_variables,
-    entropy_variables_flat,
     hessian_quadform,
 )
 from .errors import (
@@ -29,15 +28,7 @@ from .errors import (
     PositivityError,
     SolverError,
 )
-from .schemes import (
-    SchemeKind,
-    ec_flux,
-    ec_source,
-    es1_flux,
-    es2_flux,
-    numerical_energy_flux,
-    semidiscrete_rhs,
-)
+from .schemes import SchemeKind, interface_flux, semidiscrete_rhs
 from .timestep import (
     cfl_dt,
     integrate,
@@ -70,15 +61,10 @@ __all__ = [
     "energy",
     "energy_flux",
     "entropy_variables",
-    "entropy_variables_flat",
     "energy_potential",
     "hessian_quadform",
     "SchemeKind",
-    "ec_flux",
-    "ec_source",
-    "es1_flux",
-    "es2_flux",
-    "numerical_energy_flux",
+    "interface_flux",
     "semidiscrete_rhs",
     "positivity_check",
     "positivity_lambda",

@@ -20,7 +20,6 @@ __all__ = [
     "build_basis",
     "eval_basis",
     "p_operator",
-    "evaluate_at_node",
     "mean_variance",
 ]
 
@@ -113,16 +112,6 @@ def p_operator(basis: PceBasis, a: np.ndarray) -> np.ndarray:
     if a.shape[-1] != basis.K:
         raise ValueError(f"expected trailing dimension {basis.K}, got {a.shape}")
     return np.einsum("...k,klm->...lm", a, basis.triple_tensor)
-
-
-def evaluate_at_node(basis: PceBasis, coeffs: np.ndarray, m: int) -> float:
-    """Evaluate the PCE surrogate sum_k coeffs_k phi_k at quadrature node m."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[-1] != basis.K:
-        raise ValueError(f"expected trailing dimension {basis.K}, got {coeffs.shape}")
-    if not 0 <= m < basis.n_nodes:
-        raise IndexError(f"node index {m} out of range [0, {basis.n_nodes})")
-    return float(coeffs @ basis.basis_table[m])
 
 
 def mean_variance(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

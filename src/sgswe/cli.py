@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import PceBasis, build_basis, eval_basis, mean_variance, p_operator
+from .basis import PceBasis, build_basis, eval_basis, mean_variance
 from .core import CellState, Field, physical_flux, project_bottom, velocity
-from .entropy import energy_potential, entropy_variables
+from .entropy import energy_potential
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -30,7 +30,7 @@ from .errors import (
     PositivityError,
     SolverError,
 )
-from .schemes import SchemeKind, ec_flux, semidiscrete_rhs
+from .schemes import SchemeKind, interface_flux, semidiscrete_rhs
 from .timestep import StepRecord, integrate, positivity_check
 
 __all__ = [
@@ -129,11 +129,8 @@ def load_config(path: str | Path) -> SolverConfig:
         )
     cfg = SolverConfig(experiment=experiment)
 
-    preset_nx = {"dam_break_flat": 400, "stochastic_bottom": 400,
-                 "lake_at_rest_perturbation": 400, "custom": 400}
     preset_tf = {"dam_break_flat": 0.4, "stochastic_bottom": 0.8,
                  "lake_at_rest_perturbation": 0.8, "custom": 0.4}
-    cfg.nx = preset_nx[experiment]
     cfg.t_final = preset_tf[experiment]
 
     for key, value in pairs.items():
@@ -195,10 +192,6 @@ def surface_dam_break(x, xi):
     return np.where(np.asarray(x) < 0.0, 2.0 + 0.1 * xi, 1.5 + 0.1 * xi)
 
 
-def bottom_flat(x, xi):
-    return np.zeros(np.broadcast(np.asarray(x), np.asarray(xi)).shape)
-
-
 def surface_two_levels(x, xi):
     return np.where(np.asarray(x) < 0.0, 1.0, 0.5) + 0.0 * np.asarray(xi)
 
@@ -253,7 +246,7 @@ def _zero(x, xi):
 def initial_functions(cfg: SolverConfig):
     """(surface, discharge, bottom) callables of (x, xi) for the experiment."""
     if cfg.experiment == "dam_break_flat":
-        return surface_dam_break, _zero, bottom_flat
+        return surface_dam_break, _zero, _zero
     if cfg.experiment == "stochastic_bottom":
         return surface_two_levels, _zero, bottom_stochastic
     if cfg.experiment == "lake_at_rest_perturbation":
@@ -427,22 +420,18 @@ def run_checks(cfg: SolverConfig) -> int:
 
     field = build_experiment(cfg, basis)
     i = cfg.nx // 3
-    state = CellState(field.h[i], field.q[i])
-    f_two_point = ec_flux(basis, state, state, cfg.g)
-    f_exact = physical_flux(basis, state, cfg.g)
-    checks.append(("flux consistency", float(np.max(np.abs(f_two_point - f_exact))), 1e-12))
+    pair = CellState(field.h[i : i + 2], field.q[i : i + 2])
+    u = velocity(basis, pair, 0.0)[0].u
+    B = field.bottom[i : i + 2]
+    same = interface_flux(basis, pair.h[[0, 0]], u[[0, 0]], B[[0, 0]], SchemeKind.EC, cfg.g)
+    f_exact = physical_flux(basis, CellState(pair.h[0], pair.q[0]), cfg.g)
+    checks.append(("flux consistency", float(np.max(np.abs(same.flux[0] - f_exact))), 1e-12))
 
-    left = CellState(field.h[i], field.q[i])
-    right = CellState(field.h[i + 1], field.q[i + 1])
-    flux = ec_flux(basis, left, right, cfg.g)
-    jV = entropy_variables(basis, right, field.bottom[i + 1], cfg.g) - entropy_variables(
-        basis, left, field.bottom[i], cfg.g
-    )
-    jPsi = energy_potential(basis, right, cfg.g) - energy_potential(basis, left, cfg.g)
-    h_bar = 0.5 * (left.h + right.h)
-    u_bar = 0.5 * (velocity(basis, left, 0.0)[0].u + velocity(basis, right, 0.0)[0].u)
-    jB = field.bottom[i + 1] - field.bottom[i]
-    residual = jV @ flux - jPsi - cfg.g * jB @ (p_operator(basis, h_bar) @ u_bar)
+    k = interface_flux(basis, pair.h, u, B, SchemeKind.EC, cfg.g, with_diagnostics=True)
+    jV = k.entropy_vars[1] - k.entropy_vars[0]
+    psi = energy_potential(basis, pair, cfg.g, u=u)
+    u_bar = 0.5 * (u[0] + u[1])
+    residual = jV @ k.flux[0] - (psi[1] - psi[0]) - cfg.g * (B[1] - B[0]) @ (k.Ph_bar[0] @ u_bar)
     checks.append(("energy conservation condition", float(abs(residual)), 1e-10))
 
     r = semidiscrete_rhs(basis, field, cfg.scheme, cfg.g, eps=field.dx)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import PceBasis, p_operator
 from .errors import HyperbolicityError
-from .linalg import sym_eig
+from .linalg import _mv, sym_eig
 
 __all__ = [
     "CellState",
@@ -113,19 +113,22 @@ def pad_ghosts(arr: np.ndarray, policy: str) -> np.ndarray:
     raise ValueError(f"unknown ghost policy {policy!r}")
 
 
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product for (..., n, n) @ (..., n)."""
-    return np.einsum("...ij,...j->...i", A, x)
-
-
-def _raise_not_hyperbolic(pi: np.ndarray):
-    flat = np.min(pi, axis=-1).reshape(-1)
-    idx = int(np.argmin(flat))
-    raise HyperbolicityError(
-        f"P(h) not positive definite (min eigenvalue {flat[idx]:.6e} at batch index {idx})",
-        cell=idx,
-        detail=float(flat[idx]),
-    )
+def _p_eig(basis: PceBasis, h: np.ndarray):
+    """P(h) with its eigenvalues and eigenvectors; raises HyperbolicityError
+    naming the batch index with the smallest eigenvalue when P(h) is not
+    positive definite."""
+    Ph = p_operator(basis, h)
+    eig = sym_eig(Ph)
+    pi, Q = eig.values, eig.vectors
+    if np.any(pi <= 0.0):
+        flat = np.min(pi, axis=-1).reshape(-1)
+        idx = int(np.argmin(flat))
+        raise HyperbolicityError(
+            f"P(h) not positive definite (min eigenvalue {flat[idx]:.6e} at batch index {idx})",
+            cell=idx,
+            detail=float(flat[idx]),
+        )
+    return Ph, pi, Q
 
 
 def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, CellState]:
@@ -137,11 +140,7 @@ def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, C
     entry's discharge is recomputed as q <- P(h) u so that u and q stay
     consistent.  eps = 0 gives the exact solve.
     """
-    Ph = p_operator(basis, state.h)
-    eig = sym_eig(Ph)
-    pi, Q = eig.values, eig.vectors
-    if np.any(pi <= 0.0):
-        _raise_not_hyperbolic(pi)
+    Ph, pi, Q = _p_eig(basis, state.h)
     if eps > 0.0:
         small = pi < eps
         pi_reg = np.where(
@@ -163,30 +162,21 @@ def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, C
 
 
 def physical_flux(
-    basis: PceBasis,
-    state: CellState,
-    g: float,
-    u: np.ndarray | None = None,
-    eps: float = 0.0,
+    basis: PceBasis, state: CellState, g: float, u: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact flux F(U) = (q; P(q) u + (g/2) P(h) h), shape (..., 2K).
 
-    If u is not supplied it is computed through the (eps-regularized)
-    velocity path, and the state's q is replaced by the recomputed one so
-    flux and velocity stay mutually consistent.
+    u defaults to the exact velocity of the state.
     """
     if u is None:
-        vel, state = velocity(basis, state, eps)
-        u = vel.u
+        u = velocity(basis, state, 0.0)[0].u
     Fq = _mv(p_operator(basis, state.q), u) + 0.5 * g * _mv(
         p_operator(basis, state.h), state.h
     )
     return np.concatenate([state.q, Fq], axis=-1)
 
 
-def flux_jacobian(
-    basis: PceBasis, state: CellState, g: float, eps: float = 0.0
-) -> np.ndarray:
+def flux_jacobian(basis: PceBasis, state: CellState, g: float) -> np.ndarray:
     """Flux Jacobian dF/dU in K x K blocks:
 
         [ O                                I                    ]
@@ -194,17 +184,7 @@ def flux_jacobian(
 
     with the inverse realized through the same eigen-path as velocity().
     """
-    Ph = p_operator(basis, state.h)
-    eig = sym_eig(Ph)
-    pi, Q = eig.values, eig.vectors
-    if np.any(pi <= 0.0):
-        _raise_not_hyperbolic(pi)
-    if eps > 0.0:
-        pi = np.where(
-            pi < eps,
-            np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi),
-            pi,
-        )
+    Ph, pi, Q = _p_eig(basis, state.h)
     Pinv = (Q / pi[..., None, :]) @ np.swapaxes(Q, -1, -2)
     u = _mv(Pinv, state.q)
     Pq = p_operator(basis, state.q)
@@ -244,11 +224,7 @@ def symmetrizer_eig(
     (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
     positive semi-definite Roe-type diffusion operator.
     """
-    Ph = p_operator(basis, h_bar)
-    eig = sym_eig(Ph)
-    pi, Q = eig.values, eig.vectors
-    if np.any(pi <= 0.0):
-        _raise_not_hyperbolic(pi)
+    Ph, pi, Q = _p_eig(basis, h_bar)
     Qt = np.swapaxes(Q, -1, -2)
     sq = np.sqrt(g * pi)
     G = (Q * sq[..., None, :]) @ Qt

@@ -3,7 +3,7 @@
 Total energy E(U) = (kinetic + potential) acts as a strictly convex entropy
 for the coefficient system as long as P(h) is SPD.  Everything here is
 batched over leading axes, with one scalar per state for E, H, Psi and a
-2K-vector per state for V.
+2K-vector per state for V.  Pass bottom = 0 for the flat-bottom pair.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from .basis import PceBasis, p_operator
 from .core import CellState, velocity
-from .linalg import spd_solve
+from .linalg import _dot, _mv, spd_solve
 
 __all__ = [
     "energy",
@@ -20,24 +20,20 @@ __all__ = [
     "entropy_variables",
     "energy_potential",
     "hessian_quadform",
-    "energy_flat",
-    "entropy_variables_flat",
 ]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1)
-
-
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...j->...i", A, x)
-
-
-def _resolve_u(basis, state, u, eps):
+def _resolve_u(basis, state, u, eps=0.0):
     if u is None:
         vel, state = velocity(basis, state, eps)
         u = vel.u
     return u, state
+
+
+def _entropy_vars(basis, h, u, bottom, g):
+    """V = (-P(u)u/2 + g(h + B); u) from height and velocity coefficients."""
+    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * (h + bottom)
+    return np.concatenate([V1, u], axis=-1)
 
 
 def energy(
@@ -61,10 +57,9 @@ def energy_flux(
     bottom: np.ndarray,
     g: float,
     u: np.ndarray | None = None,
-    eps: float = 0.0,
 ) -> np.ndarray:
     """H = u^T P(q) u / 2 + g q.h + g q.B, the flux paired with E."""
-    u, state = _resolve_u(basis, state, u, eps)
+    u, state = _resolve_u(basis, state, u)
     Pq = p_operator(basis, state.q)
     return 0.5 * _dot(u, _mv(Pq, u)) + g * _dot(state.q, state.h) + g * _dot(
         state.q, bottom
@@ -77,12 +72,10 @@ def entropy_variables(
     bottom: np.ndarray,
     g: float,
     u: np.ndarray | None = None,
-    eps: float = 0.0,
 ) -> np.ndarray:
     """V = dE/dU = (-P(u)u/2 + g(h + B); u), shape (..., 2K)."""
-    u, state = _resolve_u(basis, state, u, eps)
-    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * (state.h + bottom)
-    return np.concatenate([V1, u], axis=-1)
+    u, state = _resolve_u(basis, state, u)
+    return _entropy_vars(basis, state.h, u, bottom, g)
 
 
 def energy_potential(
@@ -90,10 +83,9 @@ def energy_potential(
     state: CellState,
     g: float,
     u: np.ndarray | None = None,
-    eps: float = 0.0,
 ) -> np.ndarray:
     """Psi = V.F - H = (g/2) u^T P(h) h; the bottom drops out."""
-    u, state = _resolve_u(basis, state, u, eps)
+    u, state = _resolve_u(basis, state, u)
     return 0.5 * g * _dot(u, _mv(p_operator(basis, state.h), state.h))
 
 
@@ -110,32 +102,7 @@ def hessian_quadform(
     Strictly positive for w != 0 whenever P(h) is SPD, so E is strictly
     convex there.
     """
-    u, state = _resolve_u(basis, state, u, 0.0)
+    u, state = _resolve_u(basis, state, u)
     r = _mv(p_operator(basis, u), w1) - w2
     x = spd_solve(p_operator(basis, state.h), r)
     return g * _dot(w1, w1) + _dot(r, x)
-
-
-def energy_flat(
-    basis: PceBasis,
-    state: CellState,
-    g: float,
-    u: np.ndarray | None = None,
-    eps: float = 0.0,
-) -> np.ndarray:
-    """Flat-bottom energy E1 = (q.u + g |h|^2)/2 (no topography term)."""
-    u, state = _resolve_u(basis, state, u, eps)
-    return 0.5 * (_dot(state.q, u) + g * _dot(state.h, state.h))
-
-
-def entropy_variables_flat(
-    basis: PceBasis,
-    state: CellState,
-    g: float,
-    u: np.ndarray | None = None,
-    eps: float = 0.0,
-) -> np.ndarray:
-    """dE1/dU = (-P(u)u/2 + g h; u), the entropic variables without bottom."""
-    u, state = _resolve_u(basis, state, u, eps)
-    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * state.h
-    return np.concatenate([V1, u], axis=-1)

@@ -1,4 +1,4 @@
-"""Dense symmetric eigen/SPD kernels used by the diffusion operators.
+"""Dense symmetric eigen/SPD kernels and batched products.
 
 All inputs are symmetrized as (A + A^T)/2 before factorization so that
 accumulated rounding in assembled P(.) products cannot trip the solver.
@@ -24,6 +24,16 @@ class SymEig:
 
     values: np.ndarray = field(repr=False)  # (..., n), ascending
     vectors: np.ndarray = field(repr=False)  # (..., n, n), orthogonal
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product for (..., n, n) @ (..., n)."""
+    return np.einsum("...ij,...j->...i", A, x)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched inner product over the trailing axis."""
+    return np.sum(a * b, axis=-1)
 
 
 def _symmetrize(A: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ Three two-point schemes share one skeleton:
   ES2  EC minus the same diffusion scaled per scaled-variable component by
        Pi in [0, 1], built from minmod ratios of neighboring jumps.
 
-The batched grid operator semidiscrete_rhs and the per-interface functions
-run through the same kernels, so they agree to rounding.
+interface_flux evaluates that skeleton on any stack of cells;
+semidiscrete_rhs runs it on the ghost-padded grid.
 """
 
 from __future__ import annotations
@@ -19,16 +19,15 @@ from enum import Enum
 import numpy as np
 
 from .basis import PceBasis, p_operator
-from .core import CellState, Field, pad_ghosts, symmetrizer_eig, velocity
+from .core import Field, pad_ghosts, symmetrizer_eig, velocity
+from .entropy import _entropy_vars
+from .linalg import _dot, _mv
 
 __all__ = [
     "SchemeKind",
     "minmod_phi",
-    "ec_flux",
-    "ec_source",
-    "es1_flux",
-    "es2_flux",
-    "numerical_energy_flux",
+    "InterfaceFlux",
+    "interface_flux",
     "RhsResult",
     "semidiscrete_rhs",
 ]
@@ -56,38 +55,9 @@ def minmod_phi(theta: np.ndarray) -> np.ndarray:
     return np.clip(theta, 0.0, 1.0)
 
 
-def _dot(a, b):
-    return np.sum(a * b, axis=-1)
-
-
-def _mv(A, x):
-    return np.einsum("...ij,...j->...i", A, x)
-
-
 def _mtv(A, x):
     """A^T x, batched."""
     return np.einsum("...ji,...j->...i", A, x)
-
-
-def _maybe_velocity(basis, state, u):
-    if u is None:
-        vel, state = velocity(basis, state, 0.0)
-        u = vel.u
-    return u, state
-
-
-def _entropy_vars(basis, h, u, bottom, g):
-    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * (h + bottom)
-    return np.concatenate([V1, u], axis=-1)
-
-
-def _ec_flux_parts(basis, hL, hR, uL, uR, PhhL, PhhR, g):
-    """EC flux from per-side h, u and precomputed P(h) h products."""
-    h_bar = 0.5 * (hL + hR)
-    u_bar = 0.5 * (uL + uR)
-    Fh = _mv(p_operator(basis, h_bar), u_bar)
-    Fq = 0.5 * g * 0.5 * (PhhL + PhhR) + _mv(p_operator(basis, u_bar), Fh)
-    return np.concatenate([Fh, Fq], axis=-1)
 
 
 def _es2_pi(wj_prev, wj_mid, wj_next, w_left, w_right):
@@ -108,147 +78,94 @@ def _es2_pi(wj_prev, wj_mid, wj_next, w_left, w_right):
     return 1.0 - 0.5 * minmod_phi(theta_minus) - 0.5 * minmod_phi(theta_plus)
 
 
-# ---------------------------------------------------------------------------
-# per-interface operations
-# ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class InterfaceFlux:
+    """Interface quantities of a stack of n cells.
 
-
-def ec_flux(
-    basis: PceBasis,
-    left: CellState,
-    right: CellState,
-    g: float,
-    u_left: np.ndarray | None = None,
-    u_right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Energy-conservative two-point flux, shape (..., 2K).
-
-    F = (P(h_bar) u_bar ; (g/2) avg(P(h) h) + P(u_bar) P(h_bar) u_bar).
+    flux (..., n-1, 2K) is the total flux, diffusion included; Ph_bar
+    (..., n-1, K, K) is P(h_bar), which the well-balanced source reuses.
+    Diagnostics are None unless requested: energy_flux and vjump_dot_diff
+    ([[V]] . diff) per interface, entropy_vars (..., n, 2K) per cell.
     """
-    uL, left = _maybe_velocity(basis, left, u_left)
-    uR, right = _maybe_velocity(basis, right, u_right)
-    PhhL = _mv(p_operator(basis, left.h), left.h)
-    PhhR = _mv(p_operator(basis, right.h), right.h)
-    return _ec_flux_parts(basis, left.h, right.h, uL, uR, PhhL, PhhR, g)
+
+    flux: np.ndarray
+    Ph_bar: np.ndarray
+    energy_flux: np.ndarray | None = None
+    vjump_dot_diff: np.ndarray | None = None
+    entropy_vars: np.ndarray | None = None
 
 
-def ec_source(
+def interface_flux(
     basis: PceBasis,
-    h_left: np.ndarray,
-    h_center: np.ndarray,
-    h_right: np.ndarray,
-    b_left: np.ndarray,
-    b_center: np.ndarray,
-    b_right: np.ndarray,
+    h: np.ndarray,
+    u: np.ndarray,
+    B: np.ndarray,
+    scheme: SchemeKind,
     g: float,
-    dx: float,
-) -> np.ndarray:
-    """Well-balanced topography source of cell i, shape (..., 2K).
+    with_diagnostics: bool = False,
+) -> InterfaceFlux:
+    """Fluxes at the n-1 interfaces of cells stacked along axis -2.
 
-    S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) with + / - the
-    right/left interfaces; the height block is zero.
+    h, u, B are height, velocity and bottom coefficients of shape
+    (..., n, K); interface j sits between cells j and j+1.  The flux is
+
+      F = (P(h_bar) u_bar ; (g/2) avg(P(h) h) + P(u_bar) P(h_bar) u_bar)
+          - diff / 2,   diff = T |Lambda| Pi T^T [[V]],
+
+    with (T, Lambda) the symmetrizer at (h_bar, u_bar), Pi = 0 for EC and
+    Pi = 1 for ES1.  ES2 limits only interfaces that have a neighbour on
+    each side; the outermost two keep Pi = 1.  The energy flux is
+    H = avg(V) . F - avg(Psi) - (g/4) [[B]] . P(h_bar) [[u]].
     """
-    Sq = -(
-        _mv(p_operator(basis, 0.5 * (h_center + h_right)), b_right - b_center)
-        + _mv(p_operator(basis, 0.5 * (h_left + h_center)), b_center - b_left)
-    ) * (0.5 * g / dx)
-    return np.concatenate([np.zeros_like(Sq), Sq], axis=-1)
+    hL, hR = h[..., :-1, :], h[..., 1:, :]
+    uL, uR = u[..., :-1, :], u[..., 1:, :]
+    Phh = _mv(p_operator(basis, h), h)
+    h_bar = 0.5 * (hL + hR)
+    u_bar = 0.5 * (uL + uR)
+    Ph_bar = p_operator(basis, h_bar)
+    Fh = _mv(Ph_bar, u_bar)
+    Fq = 0.25 * g * (Phh[..., :-1, :] + Phh[..., 1:, :]) + _mv(p_operator(basis, u_bar), Fh)
+    F = np.concatenate([Fh, Fq], axis=-1)
 
+    V = None
+    if scheme is not SchemeKind.EC or with_diagnostics:
+        V = _entropy_vars(basis, h, u, B, g)
+    diff = np.zeros_like(F)
+    if scheme is not SchemeKind.EC:
+        T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
+        w_left = _mtv(T, V[..., :-1, :])
+        w_right = _mtv(T, V[..., 1:, :])
+        wjump = w_right - w_left
+        weight = np.abs(lam)
+        if scheme is SchemeKind.ES2:
+            Pi = np.ones_like(wjump)
+            Pi[..., 1:-1, :] = _es2_pi(
+                wjump[..., :-2, :],
+                wjump[..., 1:-1, :],
+                wjump[..., 2:, :],
+                w_left[..., 1:-1, :],
+                w_right[..., 1:-1, :],
+            )
+            weight = weight * Pi
+        diff = _mv(T, weight * wjump)
+        F = F - 0.5 * diff
 
-def es1_flux(
-    basis: PceBasis,
-    left: CellState,
-    right: CellState,
-    b_left: np.ndarray,
-    b_right: np.ndarray,
-    g: float,
-    u_left: np.ndarray | None = None,
-    u_right: np.ndarray | None = None,
-) -> np.ndarray:
-    """EC flux minus the full Roe-type diffusion (1/2) T |Lambda| T^T [[V]].
-
-    The jump is taken in the topography-aware entropic variables, so the
-    bottom coefficients of both cells enter.
-    """
-    uL, left = _maybe_velocity(basis, left, u_left)
-    uR, right = _maybe_velocity(basis, right, u_right)
-    Fec = ec_flux(basis, left, right, g, uL, uR)
-    jV = _entropy_vars(basis, right.h, uR, b_right, g) - _entropy_vars(
-        basis, left.h, uL, b_left, g
-    )
-    T, lam = symmetrizer_eig(basis, 0.5 * (left.h + right.h), 0.5 * (uL + uR), g)
-    d = _mv(T, np.abs(lam) * _mtv(T, jV))
-    return Fec - 0.5 * d
-
-
-def es2_flux(
-    basis: PceBasis,
-    states: tuple[CellState, CellState, CellState, CellState],
-    bottoms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    g: float,
-) -> np.ndarray:
-    """Limited energy-stable flux at the middle interface of a 4-cell stencil.
-
-    states/bottoms list cells (i-1, i, i+1, i+2); the flux returned lives at
-    interface i+1/2.  Diffusion is the ES1 operator with each scaled-variable
-    component multiplied by Pi built from the two neighboring interface jumps.
-    """
-    h4 = np.stack([s.h for s in states])
-    q4 = np.stack([s.q for s in states])
-    B4 = np.stack([np.asarray(b, dtype=float) for b in bottoms])
-    vel, st = velocity(basis, CellState(h4, q4), 0.0)
-    u4 = vel.u
-    V4 = _entropy_vars(basis, h4, u4, B4, g)
-
-    hL, hR = h4[:-1], h4[1:]
-    uL, uR = u4[:-1], u4[1:]
-    T, lam = symmetrizer_eig(basis, 0.5 * (hL + hR), 0.5 * (uL + uR), g)
-    w_left = _mtv(T, V4[:-1])
-    w_right = _mtv(T, V4[1:])
-    wjump = w_right - w_left
-
-    Pi = _es2_pi(wjump[0], wjump[1], wjump[2], w_left[1], w_right[1])
-    d = _mv(T[1], np.abs(lam[1]) * Pi * wjump[1])
-
-    mid = CellState(h4[1], st.q[1]), CellState(h4[2], st.q[2])
-    return ec_flux(basis, mid[0], mid[1], g, u4[1], u4[2]) - 0.5 * d
-
-
-def numerical_energy_flux(
-    basis: PceBasis,
-    left: CellState,
-    right: CellState,
-    b_left: np.ndarray,
-    b_right: np.ndarray,
-    flux: np.ndarray,
-    g: float,
-    u_left: np.ndarray | None = None,
-    u_right: np.ndarray | None = None,
-) -> np.ndarray:
-    """Discrete energy flux consistent with a given interface flux.
-
-    H = avg(V) . flux - avg(Psi) - (g/4) [[B]] . P(h_bar) [[u]].  Because H
-    is linear in the flux argument, passing an energy-stable total flux
-    yields that scheme's energy flux.
-    """
-    uL, left = _maybe_velocity(basis, left, u_left)
-    uR, right = _maybe_velocity(basis, right, u_right)
-    VL = _entropy_vars(basis, left.h, uL, b_left, g)
-    VR = _entropy_vars(basis, right.h, uR, b_right, g)
-    psiL = 0.5 * g * _dot(uL, _mv(p_operator(basis, left.h), left.h))
-    psiR = 0.5 * g * _dot(uR, _mv(p_operator(basis, right.h), right.h))
-    jB = np.asarray(b_right, dtype=float) - np.asarray(b_left, dtype=float)
-    Ph_bar = p_operator(basis, 0.5 * (left.h + right.h))
-    return (
-        _dot(0.5 * (VL + VR), flux)
-        - 0.5 * (psiL + psiR)
+    if not with_diagnostics:
+        return InterfaceFlux(flux=F, Ph_bar=Ph_bar)
+    psi = 0.5 * g * _dot(u, Phh)
+    jB = B[..., 1:, :] - B[..., :-1, :]
+    H = (
+        _dot(0.5 * (V[..., :-1, :] + V[..., 1:, :]), F)
+        - 0.5 * (psi[..., :-1] + psi[..., 1:])
         - 0.25 * g * _dot(jB, _mv(Ph_bar, uR - uL))
     )
-
-
-# ---------------------------------------------------------------------------
-# batched grid operator
-# ---------------------------------------------------------------------------
+    return InterfaceFlux(
+        flux=F,
+        Ph_bar=Ph_bar,
+        energy_flux=H,
+        vjump_dot_diff=_dot(V[..., 1:, :] - V[..., :-1, :], diff),
+        entropy_vars=V,
+    )
 
 
 @dataclass(frozen=True)
@@ -280,74 +197,37 @@ def semidiscrete_rhs(
 ) -> RhsResult:
     """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i.
 
-    Two ghost layers are appended per side following field.ghost_policy;
-    interface quantities are vectorized over the whole padded grid.  eps is
-    the velocity desingularization threshold (0 = exact inverse).
+    The velocity is recovered on the interior cells, then h, u and B get
+    two ghost layers per side following field.ghost_policy.  eps is the
+    velocity desingularization threshold (0 = exact inverse).  The
+    well-balanced source has a zero height block and
+    S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) over the right
+    (+) and left (-) interfaces of the cell.
     """
     nx = field.nx
-    hp = pad_ghosts(field.h, field.ghost_policy)
-    qp = pad_ghosts(field.q, field.ghost_policy)
-    Bp = pad_ghosts(field.bottom, field.ghost_policy)
+    vel, st = velocity(basis, field.state, eps)
+    hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
+    k = interface_flux(basis, hp, up, Bp, scheme, g, with_diagnostics)
 
-    vel, st = velocity(basis, CellState(hp, qp), eps)
-    up, qp = vel.u, st.q
-
-    # interface j sits between padded cells j and j+1, j = 0 .. nx+2
-    Phh = _mv(p_operator(basis, hp), hp)
-    hL, hR = hp[:-1], hp[1:]
-    uL, uR = up[:-1], up[1:]
-    h_bar = 0.5 * (hL + hR)
-    u_bar = 0.5 * (uL + uR)
-    Ph_bar = p_operator(basis, h_bar)
-    Fh = _mv(Ph_bar, u_bar)
-    Fq = 0.25 * g * (Phh[:-1] + Phh[1:]) + _mv(p_operator(basis, u_bar), Fh)
-    F = np.concatenate([Fh, Fq], axis=-1)
-
-    diff = np.zeros_like(F)
-    if scheme is not SchemeKind.EC:
-        Vp = _entropy_vars(basis, hp, up, Bp, g)
-        jV = Vp[1:] - Vp[:-1]
-        T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
-        w_left = _mtv(T, Vp[:-1])
-        w_right = _mtv(T, Vp[1:])
-        wjump = w_right - w_left
-        if scheme is SchemeKind.ES1:
-            diff = _mv(T, np.abs(lam) * wjump)
-        else:
-            Pi = _es2_pi(
-                wjump[:-2], wjump[1:-1], wjump[2:], w_left[1:-1], w_right[1:-1]
-            )
-            diff[1:-1] = _mv(T[1:-1], np.abs(lam[1:-1]) * Pi * wjump[1:-1])
-        F = F - 0.5 * diff
-
-    fluxes = F[1 : nx + 2]
-    jB = Bp[1:] - Bp[:-1]
-    PhjB = _mv(Ph_bar, jB)
+    # padded interface j sits between padded cells j and j+1; the interior
+    # interfaces are j = 1 .. nx+1
+    fluxes = k.flux[1 : nx + 2]
+    PhjB = _mv(k.Ph_bar, Bp[1:] - Bp[:-1])
     Sq = -(0.5 * g / field.dx) * (PhjB[2 : nx + 2] + PhjB[1 : nx + 1])
     rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
     rhs[:, basis.K :] += Sq
 
-    energy_flux = vjump_dot_diff = entropy_vars = None
+    diagnostics = {}
     if with_diagnostics:
-        if scheme is SchemeKind.EC:
-            Vp = _entropy_vars(basis, hp, up, Bp, g)
-            jV = Vp[1:] - Vp[:-1]
-        psi = 0.5 * g * _dot(up, Phh)
-        H = (
-            _dot(0.5 * (Vp[:-1] + Vp[1:]), F)
-            - 0.5 * (psi[:-1] + psi[1:])
-            - 0.25 * g * _dot(jB, _mv(Ph_bar, uR - uL))
+        diagnostics = dict(
+            energy_flux=k.energy_flux[1 : nx + 2],
+            vjump_dot_diff=k.vjump_dot_diff[1 : nx + 2],
+            entropy_vars=k.entropy_vars[2 : nx + 2],
         )
-        energy_flux = H[1 : nx + 2]
-        vjump_dot_diff = _dot(jV, diff)[1 : nx + 2]
-        entropy_vars = Vp[2 : nx + 2]
-
     return RhsResult(
         rhs=rhs,
         fluxes=fluxes,
-        field=field.replace(q=qp[2 : nx + 2]),
-        desingularized=vel.desingularized[2 : nx + 2],
-        energy_flux=energy_flux,
-        vjump_dot_diff=vjump_dot_diff,
-        entropy_vars=entropy_vars,
+        field=field.replace(q=st.q),
+        desingularized=vel.desingularized,
+        **diagnostics,
     )

@@ -17,7 +17,7 @@ from .basis import PceBasis
 from .core import Field, symmetrizer_eig, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, PositivityError
-from .schemes import SchemeKind, semidiscrete_rhs
+from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
 __all__ = [
     "positivity_check",
@@ -81,9 +81,9 @@ def cfl_dt(basis: PceBasis, field: Field, g: float, cfl: float, eps: float = 0.0
     return cfl * field.dx / amax
 
 
-def total_energy(basis: PceBasis, field: Field, g: float, eps: float | None = None) -> float:
-    """dx-weighted sum of cell energies; velocity uses eps = dx by default."""
-    e = energy(basis, field.state, field.bottom, g, eps=field.dx if eps is None else eps)
+def total_energy(basis: PceBasis, field: Field, g: float) -> float:
+    """dx-weighted sum of cell energies; the velocity uses eps = dx."""
+    e = energy(basis, field.state, field.bottom, g, eps=field.dx)
     return field.dx * float(np.sum(e))
 
 
@@ -117,8 +117,17 @@ class StepRecord:
     min_node_height: float
 
 
-def _stage_euler(h0, q0, r, dt, K):
-    return h0 + dt * r.rhs[:, :K], q0 + dt * r.rhs[:, K:]
+def _shu_osher_stage(r0: RhsResult, r: RhsResult, dt: float, k: int) -> Field:
+    """State after stage k = 0, 1, 2 of Shu-Osher SSP-RK3: an Euler step of
+    size dt from r's state, blended with the step's start state r0.field."""
+    K = r.rhs.shape[1] // 2
+    h = r.field.h + dt * r.rhs[:, :K]
+    q = r.field.q + dt * r.rhs[:, K:]
+    if k == 1:
+        h, q = 0.75 * r0.field.h + 0.25 * h, 0.75 * r0.field.q + 0.25 * q
+    elif k == 2:
+        h, q = r0.field.h / 3.0 + (2.0 / 3.0) * h, r0.field.q / 3.0 + (2.0 / 3.0) * q
+    return r.field.replace(h=h, q=q)
 
 
 def ssp_rk3_step(
@@ -138,7 +147,6 @@ def ssp_rk3_step(
     DtUnderflowError once dt falls below 1e-14 t_final, BlowUpError on
     non-finite states, and lets positivity/hyperbolicity errors propagate.
     """
-    K = basis.K
     eps = field.dx
     _check_finite(field.h, field.q, t)
     r0 = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
@@ -154,38 +162,18 @@ def ssp_rk3_step(
             raise DtUnderflowError(
                 f"dt {dt:.3e} fell below {floor:.3e}", t=t, dt=dt
             )
-
-        h1, q1 = _stage_euler(r0.field.h, r0.field.q, r0, dt, K)
-        _check_finite(h1, q1, t)
-        r1 = semidiscrete_rhs(basis, field.replace(h=h1, q=q1), scheme, g, eps=eps)
-        lam1 = positivity_lambda(basis, r1.field.h, r1.fluxes, field.dx)
-        if 0.9 * lam1 < dt:
-            dt = 0.9 * lam1
-            restarts += 1
-            continue
-
-        eh, eq = _stage_euler(r1.field.h, r1.field.q, r1, dt, K)
-        h2 = 0.75 * r0.field.h + 0.25 * eh
-        q2 = 0.75 * r0.field.q + 0.25 * eq
-        _check_finite(h2, q2, t)
-        r2 = semidiscrete_rhs(basis, field.replace(h=h2, q=q2), scheme, g, eps=eps)
-        lam2 = positivity_lambda(basis, r2.field.h, r2.fluxes, field.dx)
-        if 0.9 * lam2 < dt:
-            dt = 0.9 * lam2
-            restarts += 1
-            continue
-
-        eh, eq = _stage_euler(r2.field.h, r2.field.q, r2, dt, K)
-        h3 = r0.field.h / 3.0 + (2.0 / 3.0) * eh
-        q3 = r0.field.q / 3.0 + (2.0 / 3.0) * eq
-        _check_finite(h3, q3, t)
-        return StepResult(
-            field=field.replace(h=h3, q=q3),
-            t=t + dt,
-            dt=dt,
-            lam=lam0,
-            restarts=restarts,
-        )
+        r = r0
+        for k in range(3):
+            stage = _shu_osher_stage(r0, r, dt, k)
+            _check_finite(stage.h, stage.q, t)
+            if k == 2:
+                return StepResult(field=stage, t=t + dt, dt=dt, lam=lam0, restarts=restarts)
+            r = semidiscrete_rhs(basis, stage, scheme, g, eps=eps)
+            lam = positivity_lambda(basis, r.field.h, r.fluxes, field.dx)
+            if 0.9 * lam < dt:
+                dt = 0.9 * lam
+                restarts += 1
+                break
 
 
 def rk3_fixed(
@@ -198,20 +186,12 @@ def rk3_fixed(
     eps: float = 0.0,
 ) -> Field:
     """Plain fixed-dt SSP-RK3 without adaptivity, for convergence studies."""
-    K = basis.K
     for _ in range(n_steps):
-        r0 = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
-        h1, q1 = _stage_euler(r0.field.h, r0.field.q, r0, dt, K)
-        r1 = semidiscrete_rhs(basis, field.replace(h=h1, q=q1), scheme, g, eps=eps)
-        eh, eq = _stage_euler(r1.field.h, r1.field.q, r1, dt, K)
-        h2 = 0.75 * r0.field.h + 0.25 * eh
-        q2 = 0.75 * r0.field.q + 0.25 * eq
-        r2 = semidiscrete_rhs(basis, field.replace(h=h2, q=q2), scheme, g, eps=eps)
-        eh, eq = _stage_euler(r2.field.h, r2.field.q, r2, dt, K)
-        field = field.replace(
-            h=r0.field.h / 3.0 + (2.0 / 3.0) * eh,
-            q=r0.field.q / 3.0 + (2.0 / 3.0) * eq,
-        )
+        r0 = r = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
+        for k in range(3):
+            if k:
+                r = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
+            field = _shu_osher_stage(r0, r, dt, k)
     return field
 
 

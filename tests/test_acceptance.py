@@ -14,11 +14,10 @@ from sgswe import (
     SolverConfig,
     build_basis,
     build_experiment,
-    ec_flux,
     energy_potential,
     entropy_variables,
-    entropy_variables_flat,
     integrate,
+    interface_flux,
     p_operator,
     semidiscrete_rhs,
     ssp_rk3_step,
@@ -27,7 +26,7 @@ from sgswe import (
 )
 from sgswe.cli import main
 from sgswe.core import CellState, Field, flux_jacobian, physical_flux, project_bottom
-from sgswe.entropy import energy, energy_flat, energy_flux, hessian_quadform
+from sgswe.entropy import energy, energy_flux, hessian_quadform
 from sgswe.errors import DtUnderflowError
 from sgswe.linalg import spd_sqrt
 
@@ -165,7 +164,7 @@ def test_criterion_02_entropy_calculus(basis9):
         w = np.concatenate([w1, w2])
 
         def E1_of(U_):
-            return float(energy_flat(basis9, CellState(U_[:K], U_[K:]), GRAV))
+            return float(energy(basis9, CellState(U_[:K], U_[K:]), zero, GRAV))
 
         fd2 = (E1_of(U + 1e-4 * w) - 2.0 * E1_of(U) + E1_of(U - 1e-4 * w)) / 1e-8
         worst_hess = max(worst_hess, abs(quad - fd2) / abs(quad))
@@ -178,7 +177,7 @@ def test_criterion_02_entropy_calculus(basis9):
         def H1_of(U_):
             return float(energy_flux(basis9, CellState(U_[:K], U_[K:]), zero, GRAV))
 
-        lhs = entropy_variables_flat(basis9, st, GRAV) @ flux_jacobian(basis9, st, GRAV)
+        lhs = entropy_variables(basis9, st, zero, GRAV) @ flux_jacobian(basis9, st, GRAV)
         fdH = np.empty(2 * K)
         for j in range(2 * K):
             up, dn = U.copy(), U.copy()
@@ -212,7 +211,8 @@ def test_criterion_03_ec_condition(basis9):
     BR = 0.1 * rng.standard_normal((n, 9))
     uL = velocity(basis9, L, 0.0)[0].u
     uR = velocity(basis9, R, 0.0)[0].u
-    flux = ec_flux(basis9, L, R, GRAV, uL, uR)
+    pairs = [np.stack(sides, axis=1) for sides in ((L.h, R.h), (uL, uR), (BL, BR))]
+    flux = interface_flux(basis9, *pairs, SchemeKind.EC, GRAV).flux[:, 0]
     jV = entropy_variables(basis9, R, BR, GRAV) - entropy_variables(basis9, L, BL, GRAV)
     jPsi = energy_potential(basis9, R, GRAV) - energy_potential(basis9, L, GRAV)
     Ph_bar = p_operator(basis9, 0.5 * (L.h + R.h))
@@ -250,6 +250,7 @@ def test_criterion_05_roe_equivalence(basis9):
     rng = np.random.default_rng(14)
     K = 9
     eye = np.eye(K)
+    zero = np.zeros(K)
     worst_q = worst_m = 0.0
     for _ in range(500):
         L = random_hyperbolic_state(rng, K)
@@ -258,7 +259,7 @@ def test_criterion_05_roe_equivalence(basis9):
         uR = velocity(basis9, R, 0.0)[0].u
         h_bar = 0.5 * (L.h + R.h)
         u_bar = 0.5 * (uL + uR)
-        jV = entropy_variables_flat(basis9, R, GRAV) - entropy_variables_flat(basis9, L, GRAV)
+        jV = entropy_variables(basis9, R, zero, GRAV) - entropy_variables(basis9, L, zero, GRAV)
 
         A = p_operator(basis9, u_bar)
         Ph = p_operator(basis9, h_bar)

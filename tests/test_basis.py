@@ -7,7 +7,6 @@ from sgswe.basis import (
     PceBasis,
     build_basis,
     eval_basis,
-    evaluate_at_node,
     mean_variance,
     p_operator,
 )
@@ -102,15 +101,6 @@ def test_p_operator_batched_matches_loop(basis4):
 def test_p_operator_shape_mismatch(basis4):
     with pytest.raises(ValueError):
         p_operator(basis4, np.zeros(5))
-
-
-def test_evaluate_at_node(basis4):
-    coeffs = np.array([1.0, 0.5, 0.0, -0.2])
-    m = 3
-    expected = float(coeffs @ basis4.basis_table[m])
-    assert evaluate_at_node(basis4, coeffs, m) == expected
-    with pytest.raises(IndexError):
-        evaluate_at_node(basis4, coeffs, basis4.n_nodes)
 
 
 def test_mean_variance_against_dense_sampling(basis4):

@@ -7,11 +7,9 @@ from sgswe.basis import p_operator
 from sgswe.core import CellState, flux_jacobian, physical_flux, velocity
 from sgswe.entropy import (
     energy,
-    energy_flat,
     energy_flux,
     energy_potential,
     entropy_variables,
-    entropy_variables_flat,
     hessian_quadform,
 )
 
@@ -56,9 +54,10 @@ def test_hessian_quadform_matches_fd(basis9):
     w = np.concatenate([w1, w2])
     U = np.concatenate([st.h, st.q])
     delta = 1e-4
+    zero = np.zeros(K)
 
     def E_of(U_):
-        return float(energy_flat(basis9, CellState(U_[:K], U_[K:]), g))
+        return float(energy(basis9, CellState(U_[:K], U_[K:]), zero, g))
 
     fd = (E_of(U + delta * w) - 2.0 * E_of(U) + E_of(U - delta * w)) / delta**2
     assert quad == pytest.approx(fd, rel=1e-4)
@@ -104,7 +103,7 @@ def test_flat_bottom_compatibility(basis9):
         def H1_of(U_):
             return float(energy_flux(basis9, CellState(U_[:K], U_[K:]), zero, g))
 
-        V1 = entropy_variables_flat(basis9, st, g)
+        V1 = entropy_variables(basis9, st, zero, g)
         J = flux_jacobian(basis9, st, g)
         lhs = V1 @ J
         fd = _fd_gradient(H1_of, U)
@@ -117,10 +116,9 @@ def test_flat_variants_drop_bottom_terms(basis4):
     B = 0.3 * rng.standard_normal(4)
     g = 1.0
     zero = np.zeros(4)
-    assert float(energy(basis4, st, zero, g)) == pytest.approx(
-        float(energy_flat(basis4, st, g)), rel=1e-14
-    )
-    dV = entropy_variables(basis4, st, B, g) - entropy_variables_flat(basis4, st, g)
+    dE = float(energy(basis4, st, B, g) - energy(basis4, st, zero, g))
+    assert dE == pytest.approx(g * float(st.h @ B), rel=1e-14)
+    dV = entropy_variables(basis4, st, B, g) - entropy_variables(basis4, st, zero, g)
     assert np.max(np.abs(dV[:4] - g * B)) <= 1e-14
     assert np.max(np.abs(dV[4:])) == 0.0
 

@@ -1,4 +1,4 @@
-"""Interface fluxes, source, limiter scaling and the grid operator."""
+"""Interface kernel, source, limiter scaling and the grid operator."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,10 @@ import pytest
 from sgswe.basis import p_operator
 from sgswe.core import CellState, Field, pad_ghosts, symmetrizer_eig, velocity
 from sgswe.entropy import energy_flux, energy_potential, entropy_variables
-from sgswe.schemes import (
-    SchemeKind,
-    ec_flux,
-    ec_source,
-    es1_flux,
-    es2_flux,
-    minmod_phi,
-    numerical_energy_flux,
-    semidiscrete_rhs,
-)
+from sgswe.errors import HyperbolicityError
+from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
 from sgswe.core import physical_flux
+from sgswe.timestep import cfl_dt
 
 from conftest import random_hyperbolic_state, random_state_batch
 
@@ -29,6 +22,15 @@ def _random_field(rng, nx, K, policy="outflow", bottom_scale=0.1):
     if K > 1:
         B[:, 1] = 0.3 * bottom_scale
     return Field(h=st.h, q=st.q, bottom=B, dx=1.0 / nx, x_left=0.0, ghost_policy=policy)
+
+
+def _stack(basis, states, bottoms, scheme, g, with_diagnostics=False):
+    """Kernel on cells listed along axis -2, velocities from the exact inverse."""
+    h = np.stack([s.h for s in states], axis=-2)
+    q = np.stack([s.q for s in states], axis=-2)
+    u = velocity(basis, CellState(h, q), 0.0)[0].u
+    B = np.stack(bottoms, axis=-2)
+    return interface_flux(basis, h, u, B, scheme, g, with_diagnostics)
 
 
 def test_minmod_phi_values():
@@ -48,10 +50,9 @@ def test_flux_consistency_all_schemes(basis9):
     st = random_hyperbolic_state(rng, 9)
     B = 0.1 * rng.standard_normal(9)
     exact = physical_flux(basis9, st, g)
-    assert np.max(np.abs(ec_flux(basis9, st, st, g) - exact)) <= 1e-12
-    assert np.max(np.abs(es1_flux(basis9, st, st, B, B, g) - exact)) <= 1e-12
-    f2 = es2_flux(basis9, (st, st, st, st), (B, B, B, B), g)
-    assert np.max(np.abs(f2 - exact)) <= 1e-12
+    for scheme in SchemeKind:
+        f = _stack(basis9, (st,) * 4, (B,) * 4, scheme, g).flux
+        assert np.max(np.abs(f - exact)) <= 1e-12
 
 
 def test_ec_condition_random_pairs(basis9):
@@ -61,7 +62,7 @@ def test_ec_condition_random_pairs(basis9):
         L = random_hyperbolic_state(rng, 9)
         R = random_hyperbolic_state(rng, 9)
         bL, bR = 0.2 * rng.standard_normal(9), 0.2 * rng.standard_normal(9)
-        F = ec_flux(basis9, L, R, g)
+        F = _stack(basis9, (L, R), (bL, bR), SchemeKind.EC, g).flux[0]
         uL = velocity(basis9, L, 0.0)[0].u
         uR = velocity(basis9, R, 0.0)[0].u
         jV = entropy_variables(basis9, R, bR, g) - entropy_variables(basis9, L, bL, g)
@@ -71,20 +72,28 @@ def test_ec_condition_random_pairs(basis9):
         assert abs(float(jV @ F) - jPsi - wb) <= 1e-11
 
 
+def _source(r, dx):
+    """Source term of each cell: the RHS with the flux divergence removed."""
+    return r.rhs + (r.fluxes[1:] - r.fluxes[:-1]) / dx
+
+
 def test_ec_source_flat_bottom_vanishes(basis4):
     rng = np.random.default_rng(2)
-    h = rng.random((3, 4)) + 1.0
+    h = random_state_batch(rng, 3, 4).h
     b = np.tile(0.3 * rng.standard_normal(4), (3, 1))
-    S = ec_source(basis4, h[0], h[1], h[2], b[0], b[1], b[2], 1.0, 0.1)
-    assert np.max(np.abs(S)) == 0.0
+    fld = Field(h=h, q=np.zeros((3, 4)), bottom=b, dx=0.1, x_left=0.0)
+    for scheme in SchemeKind:
+        r = semidiscrete_rhs(basis4, fld, scheme, 1.0)
+        assert np.max(np.abs(_source(r, fld.dx))) == 0.0
 
 
 def test_ec_source_matches_direct_formula(basis4):
     rng = np.random.default_rng(3)
     g, dx = 1.2, 0.05
-    h = 1.0 + rng.random((3, 4))
+    h = random_state_batch(rng, 3, 4).h
     b = 0.2 * rng.standard_normal((3, 4))
-    S = ec_source(basis4, h[0], h[1], h[2], b[0], b[1], b[2], g, dx)
+    fld = Field(h=h, q=np.zeros((3, 4)), bottom=b, dx=dx, x_left=0.0)
+    S = _source(semidiscrete_rhs(basis4, fld, SchemeKind.EC, g), dx)[1]
     expect = -(0.5 * g / dx) * (
         p_operator(basis4, 0.5 * (h[1] + h[2])) @ (b[2] - b[1])
         + p_operator(basis4, 0.5 * (h[0] + h[1])) @ (b[1] - b[0])
@@ -120,7 +129,11 @@ def test_es1_diffusion_dissipates(basis9):
         uL = velocity(basis9, L, 0.0)[0].u
         uR = velocity(basis9, R, 0.0)[0].u
         jV = entropy_variables(basis9, R, bR, g) - entropy_variables(basis9, L, bL, g)
-        d = -2.0 * (es1_flux(basis9, L, R, bL, bR, g) - ec_flux(basis9, L, R, g))
+        f_es1, f_ec = (
+            _stack(basis9, (L, R), (bL, bR), scheme, g).flux[0]
+            for scheme in (SchemeKind.ES1, SchemeKind.EC)
+        )
+        d = -2.0 * (f_es1 - f_ec)
         assert float(jV @ d) >= -1e-12
 
 
@@ -148,7 +161,7 @@ def test_es2_flat_region_no_nan(basis4):
     rng = np.random.default_rng(7)
     st = random_hyperbolic_state(rng, 4)
     B = 0.1 * rng.standard_normal(4)
-    f = es2_flux(basis4, (st, st, st, st), (B, B, B, B), 1.0)
+    f = _stack(basis4, (st,) * 4, (B,) * 4, SchemeKind.ES2, 1.0).flux
     assert np.all(np.isfinite(f))
 
 
@@ -157,21 +170,52 @@ def test_per_interface_matches_batched(basis4):
     g = 1.0
     fld = _random_field(rng, 12, 4)
     hp, qp, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, fld.q, fld.bottom))
+    up = velocity(basis4, CellState(hp, qp), 0.0)[0].u
     nx = fld.nx
     for scheme in SchemeKind:
         r = semidiscrete_rhs(basis4, fld, scheme, g)
         for j in range(1, nx + 2):
-            L = CellState(hp[j], qp[j])
-            R = CellState(hp[j + 1], qp[j + 1])
-            if scheme is SchemeKind.EC:
-                f = ec_flux(basis4, L, R, g)
-            elif scheme is SchemeKind.ES1:
-                f = es1_flux(basis4, L, R, Bp[j], Bp[j + 1], g)
+            if scheme is SchemeKind.ES2:  # 4-cell stencil, limited middle interface
+                cells, mid = slice(j - 1, j + 3), 1
             else:
-                states = tuple(CellState(hp[j - 1 + k], qp[j - 1 + k]) for k in range(4))
-                bots = tuple(Bp[j - 1 + k] for k in range(4))
-                f = es2_flux(basis4, states, bots, g)
-            assert np.max(np.abs(f - r.fluxes[j - 1])) <= 1e-13
+                cells, mid = slice(j, j + 2), 0
+            k = interface_flux(basis4, hp[cells], up[cells], Bp[cells], scheme, g)
+            assert np.array_equal(k.flux[mid], r.fluxes[j - 1])
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_pair_stack_matches_separate_pairs(basis4, scheme):
+    rng = np.random.default_rng(14)
+    n, g = 7, 1.0
+    L, R = random_state_batch(rng, n, 4), random_state_batch(rng, n, 4)
+    BL, BR = 0.1 * rng.standard_normal((n, 4)), 0.1 * rng.standard_normal((n, 4))
+    stacked = _stack(basis4, (L, R), (BL, BR), scheme, g, with_diagnostics=True)
+    assert stacked.flux.shape == (n, 1, 8)
+    for i in range(n):
+        one = _stack(
+            basis4,
+            (CellState(L.h[i], L.q[i]), CellState(R.h[i], R.q[i])),
+            (BL[i], BR[i]),
+            scheme,
+            g,
+            with_diagnostics=True,
+        )
+        for name in ("flux", "Ph_bar", "energy_flux", "vjump_dot_diff", "entropy_vars"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
+
+
+@pytest.mark.parametrize("policy", ["outflow", "periodic"])
+def test_hyperbolicity_error_names_interior_cell(basis4, policy):
+    rng = np.random.default_rng(15)
+    fld = _random_field(rng, 12, 4, policy=policy)
+    fld.h[5] = [-1.0, 0.0, 0.0, 0.0]
+    for call in (
+        lambda: semidiscrete_rhs(basis4, fld, SchemeKind.ES2, 1.0, eps=fld.dx),
+        lambda: cfl_dt(basis4, fld, 1.0, 0.45, eps=fld.dx),
+    ):
+        with pytest.raises(HyperbolicityError) as info:
+            call()
+        assert info.value.cell == 5
 
 
 def test_conservation_telescopes(basis4):
@@ -197,9 +241,8 @@ def test_numerical_energy_flux_consistency(basis9):
     g = 1.0
     st = random_hyperbolic_state(rng, 9)
     B = 0.1 * rng.standard_normal(9)
-    flux = physical_flux(basis9, st, g)
-    H = numerical_energy_flux(basis9, st, st, B, B, flux, g)
-    assert float(H) == pytest.approx(float(energy_flux(basis9, st, B, g)), rel=1e-12)
+    H = _stack(basis9, (st, st), (B, B), SchemeKind.EC, g, with_diagnostics=True).energy_flux
+    assert float(H[0]) == pytest.approx(float(energy_flux(basis9, st, B, g)), rel=1e-12)
 
 
 def test_cellwise_energy_balance(basis4):
@@ -223,9 +266,11 @@ def test_energy_flux_matches_per_interface_helper(basis4):
     g = 1.0
     fld = _random_field(rng, 10, 4)
     hp, qp, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, fld.q, fld.bottom))
+    up = velocity(basis4, CellState(hp, qp), 0.0)[0].u
     r = semidiscrete_rhs(basis4, fld, SchemeKind.ES1, g, with_diagnostics=True)
     for j in (1, 5, fld.nx + 1):
-        L = CellState(hp[j], qp[j])
-        R = CellState(hp[j + 1], qp[j + 1])
-        H = numerical_energy_flux(basis4, L, R, Bp[j], Bp[j + 1], r.fluxes[j - 1], g)
-        assert float(H) == pytest.approx(float(r.energy_flux[j - 1]), abs=1e-12)
+        cells = slice(j, j + 2)
+        k = interface_flux(
+            basis4, hp[cells], up[cells], Bp[cells], SchemeKind.ES1, g, with_diagnostics=True
+        )
+        assert float(k.energy_flux[0]) == pytest.approx(float(r.energy_flux[j - 1]), abs=1e-12)
