@@ -326,11 +326,13 @@ def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
 
 def write_energy_series(records: list[StepRecord], path: Path, debug_energy: bool = False):
     """Energy history CSV; relative drift uses the current energy in the
-    denominator, with the initial-energy variant added under debug_energy."""
+    denominator, with the initial-energy variant added under debug_energy.
+    dt and lam are the accepted step and its start-of-step positivity bound
+    (0 and inf on the initial row)."""
     if not records:
         return
     e0 = records[0].energy
-    header = ["t", "E_total", "relative_energy", "min_node_height", "restarts"]
+    header = ["t", "E_total", "relative_energy", "min_node_height", "restarts", "dt", "lam"]
     if debug_energy:
         header.append("relative_energy_initial_denom")
     with open(path, "w", newline="") as handle:
@@ -343,6 +345,8 @@ def write_energy_series(records: list[StepRecord], path: Path, debug_energy: boo
                 _fmt((rec.energy - e0) / rec.energy),
                 _fmt(rec.min_node_height),
                 str(rec.restarts),
+                _fmt(rec.dt),
+                _fmt(rec.lam),
             ]
             if debug_energy:
                 row.append(_fmt((rec.energy - e0) / e0))

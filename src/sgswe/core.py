@@ -44,11 +44,15 @@ class CellState:
 
 @dataclass(frozen=True)
 class Velocity:
-    """Velocity coefficients u plus a flag telling whether the regularized
-    inverse deviated from the exact one anywhere in the batch."""
+    """Velocity coefficients u, a flag telling whether the regularized
+    inverse deviated from the exact one anywhere in the batch, and the
+    eigenpairs P(h) = Q diag(pi) Q^T that the solve used."""
 
     u: np.ndarray = dc_field(repr=False)
     desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (...)
+    Ph: np.ndarray = dc_field(repr=False)
+    pi: np.ndarray = dc_field(repr=False)
+    Q: np.ndarray = dc_field(repr=False)
 
 
 @dataclass
@@ -158,7 +162,7 @@ def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, C
         q_new = np.where(activated[..., None], _mv(Ph, u), state.q)
     else:
         q_new = state.q
-    return Velocity(u=u, desingularized=activated), CellState(h=state.h, q=q_new)
+    return Velocity(u, activated, Ph, pi, Q), CellState(h=state.h, q=q_new)
 
 
 def physical_flux(
@@ -213,7 +217,7 @@ def _normalize_columns(L: np.ndarray) -> np.ndarray:
 
 
 def symmetrizer_eig(
-    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float
+    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float, vel: Velocity | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the flux Jacobian at the intermediate state
     (h_bar, P(h_bar) u_bar), returned as (T, Lambda) with J = T Lambda T^{-1}.
@@ -222,9 +226,10 @@ def symmetrizer_eig(
     assembled from G, P(u) and g G^{-1} P(q) G^{-1} is diagonalized as
     D = L Lambda L^T, and T = R L with R the scaled eigenvector matrix
     (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
-    positive semi-definite Roe-type diffusion operator.
+    positive semi-definite Roe-type diffusion operator.  vel, from
+    velocity() on a state of height h_bar, supplies the P(h_bar) eigenpairs.
     """
-    Ph, pi, Q = _p_eig(basis, h_bar)
+    Ph, pi, Q = _p_eig(basis, h_bar) if vel is None else (vel.Ph, vel.pi, vel.Q)
     Qt = np.swapaxes(Q, -1, -2)
     sq = np.sqrt(g * pi)
     G = (Q * sq[..., None, :]) @ Qt

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SymEig", "NotSPDError", "sym_eig", "spd_sqrt", "spd_solve"]
+__all__ = ["SymEig", "NotSPDError", "sym_eig", "spd_solve"]
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -45,17 +45,6 @@ def sym_eig(A: np.ndarray) -> SymEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
     values, vectors = np.linalg.eigh(_symmetrize(A))
     return SymEig(values=values, vectors=vectors)
-
-
-def spd_sqrt(A: np.ndarray) -> np.ndarray:
-    """Symmetric positive definite square root G with G @ G = A."""
-    eig = sym_eig(A)
-    if np.any(eig.values <= 0.0):
-        raise NotSPDError(
-            f"matrix is not SPD (min eigenvalue {np.min(eig.values):.6e})"
-        )
-    root = eig.vectors * np.sqrt(eig.values)[..., None, :]
-    return root @ np.swapaxes(eig.vectors, -1, -2)
 
 
 def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

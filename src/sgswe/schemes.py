@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import PceBasis, p_operator
-from .core import Field, pad_ghosts, symmetrizer_eig, velocity
+from .core import CellState, Field, Velocity, pad_ghosts, symmetrizer_eig, velocity
 from .entropy import _entropy_vars
 from .linalg import _dot, _mv
 
@@ -175,13 +175,14 @@ class RhsResult:
     fluxes holds the nx+1 interior interface fluxes (total, diffusion
     included).  field carries the discharge after any desingularization
     recompute; time integrators must advance this state, not the input.
-    Diagnostic arrays are None unless requested.
+    velocity is the stage's solve, which the CFL bound reuses.  Diagnostic
+    arrays are None unless requested.
     """
 
     rhs: np.ndarray
     fluxes: np.ndarray
     field: Field
-    desingularized: np.ndarray
+    velocity: Velocity
     energy_flux: np.ndarray | None = None
     vjump_dot_diff: np.ndarray | None = None
     entropy_vars: np.ndarray | None = None
@@ -194,18 +195,20 @@ def semidiscrete_rhs(
     g: float,
     eps: float = 0.0,
     with_diagnostics: bool = False,
+    solved: tuple[Velocity, CellState] | None = None,
 ) -> RhsResult:
     """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i.
 
     The velocity is recovered on the interior cells, then h, u and B get
     two ghost layers per side following field.ghost_policy.  eps is the
-    velocity desingularization threshold (0 = exact inverse).  The
+    velocity desingularization threshold (0 = exact inverse); solved, when
+    given, is velocity(basis, field.state, eps) already computed.  The
     well-balanced source has a zero height block and
     S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) over the right
     (+) and left (-) interfaces of the cell.
     """
     nx = field.nx
-    vel, st = velocity(basis, field.state, eps)
+    vel, st = velocity(basis, field.state, eps) if solved is None else solved
     hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
     k = interface_flux(basis, hp, up, Bp, scheme, g, with_diagnostics)
 
@@ -228,6 +231,6 @@ def semidiscrete_rhs(
         rhs=rhs,
         fluxes=fluxes,
         field=field.replace(q=st.q),
-        desingularized=vel.desingularized,
+        velocity=vel,
         **diagnostics,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import PceBasis
-from .core import Field, symmetrizer_eig, velocity
+from .core import CellState, Field, Velocity, symmetrizer_eig, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, PositivityError
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
@@ -71,19 +71,29 @@ def positivity_lambda(
     return float(ratio.min())
 
 
-def cfl_dt(basis: PceBasis, field: Field, g: float, cfl: float, eps: float = 0.0) -> float:
-    """dt = cfl dx / max spectral radius of the flux Jacobian over cells."""
-    vel, _ = velocity(basis, field.state, eps)
-    _, lam = symmetrizer_eig(basis, field.h, vel.u, g)
+def cfl_dt(
+    basis: PceBasis, field: Field, g: float, cfl: float, eps: float = 0.0,
+    vel: Velocity | None = None,
+) -> float:
+    """dt = cfl dx / max spectral radius of the flux Jacobian over cells; vel
+    defaults to velocity(basis, field.state, eps)[0].  ssp_rk3_step passes its
+    stage-0 solve, so a desingularized cell's bound uses the stage's u."""
+    if vel is None:
+        vel, _ = velocity(basis, field.state, eps)
+    _, lam = symmetrizer_eig(basis, field.h, vel.u, g, vel)
     amax = float(np.max(np.abs(lam)))
     if amax == 0.0:
         return np.inf
     return cfl * field.dx / amax
 
 
-def total_energy(basis: PceBasis, field: Field, g: float) -> float:
-    """dx-weighted sum of cell energies; the velocity uses eps = dx."""
-    e = energy(basis, field.state, field.bottom, g, eps=field.dx)
+def total_energy(
+    basis: PceBasis, field: Field, g: float, solved: tuple[Velocity, CellState] | None = None
+) -> float:
+    """dx-weighted sum of cell energies from solved, which defaults to
+    velocity(basis, field.state, field.dx) (eps = dx)."""
+    vel, st = velocity(basis, field.state, field.dx) if solved is None else solved
+    e = energy(basis, st, field.bottom, g, u=vel.u)
     return field.dx * float(np.sum(e))
 
 
@@ -139,19 +149,21 @@ def ssp_rk3_step(
     t: float,
     t_final: float,
     t_target: float | None = None,
+    solved: tuple[Velocity, CellState] | None = None,
 ) -> StepResult:
     """One adaptive SSP-RK3 step from time t.
 
     dt starts at min(CFL bound, 0.9 lambda, clamp to t_target); stages that
-    expose a smaller lambda shrink dt and restart the step.  Raises
+    expose a smaller lambda shrink dt and restart the step.  Stage 0 and the
+    CFL bound use solved, velocity(basis, field.state, field.dx), if given.  Raises
     DtUnderflowError once dt falls below 1e-14 t_final, BlowUpError on
     non-finite states, and lets positivity/hyperbolicity errors propagate.
     """
     eps = field.dx
     _check_finite(field.h, field.q, t)
-    r0 = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
+    r0 = semidiscrete_rhs(basis, field, scheme, g, eps=eps, solved=solved)
     lam0 = positivity_lambda(basis, r0.field.h, r0.fluxes, field.dx)
-    dt = min(cfl_dt(basis, r0.field, g, cfl, eps=eps), 0.9 * lam0)
+    dt = min(cfl_dt(basis, r0.field, g, cfl, vel=r0.velocity), 0.9 * lam0)
     cap = (t_final if t_target is None else t_target) - t
     dt = min(dt, cap)
     floor = _DT_FLOOR_FRAC * t_final
@@ -212,6 +224,8 @@ def integrate(
     or t_final when listed).  Returns the final field and one StepRecord per
     accepted step, plus the initial record at t = 0.  Passing a records list
     makes it fill in place, so partial histories survive mid-run failures.
+    Each accepted state's velocity is solved once: the solve gives the
+    record's energy and is the next step's stage-0 velocity.
     """
     for ts in snapshot_times:
         if ts < 0.0 or ts > t_final:
@@ -223,13 +237,14 @@ def integrate(
     restarts_total = 0
     if records is None:
         records = []
+    solved = velocity(basis, field.state, field.dx)
     records.append(
         StepRecord(
             t=0.0,
             dt=0.0,
             lam=np.inf,
             restarts=0,
-            energy=total_energy(basis, field, g),
+            energy=total_energy(basis, field, g, solved),
             min_node_height=min_node_height(basis, field),
         )
     )
@@ -239,7 +254,7 @@ def integrate(
 
     while targets:
         target = targets[0]
-        step = ssp_rk3_step(basis, field, scheme, g, cfl, t, t_final, t_target=target)
+        step = ssp_rk3_step(basis, field, scheme, g, cfl, t, t_final, target, solved)
         field, t = step.field, step.t
         restarts_total += step.restarts
         if t >= target - tol:
@@ -247,13 +262,14 @@ def integrate(
             if on_snapshot is not None and _wants_snapshot(target, snapshot_times, tol):
                 on_snapshot(target, field)
             targets.pop(0)
+        solved = velocity(basis, field.state, field.dx)
         records.append(
             StepRecord(
                 t=t,
                 dt=step.dt,
                 lam=step.lam,
                 restarts=restarts_total,
-                energy=total_energy(basis, field, g),
+                energy=total_energy(basis, field, g, solved),
                 min_node_height=min_node_height(basis, field),
             )
         )

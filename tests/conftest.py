@@ -5,6 +5,7 @@ import pytest
 
 from sgswe.basis import build_basis
 from sgswe.core import CellState
+from sgswe.linalg import NotSPDError, sym_eig
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +48,14 @@ def random_state_batch(rng, n, K, h_mean=1.5, spread=0.1, q_scale=0.3):
     h[:, 1:] = spread * rng.standard_normal((n, K - 1))
     q = q_scale * rng.standard_normal((n, K))
     return CellState(h=_cap_fluctuations(h), q=q)
+
+
+def spd_sqrt(A):
+    """Symmetric positive definite square root G with G @ G = A."""
+    eig = sym_eig(A)
+    if np.any(eig.values <= 0.0):
+        raise NotSPDError(
+            f"matrix is not SPD (min eigenvalue {np.min(eig.values):.6e})"
+        )
+    root = eig.vectors * np.sqrt(eig.values)[..., None, :]
+    return root @ np.swapaxes(eig.vectors, -1, -2)

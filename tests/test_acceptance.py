@@ -28,9 +28,8 @@ from sgswe.cli import main
 from sgswe.core import CellState, Field, flux_jacobian, physical_flux, project_bottom
 from sgswe.entropy import energy, energy_flux, hessian_quadform
 from sgswe.errors import DtUnderflowError
-from sgswe.linalg import spd_sqrt
 
-from conftest import random_hyperbolic_state, random_state_batch
+from conftest import random_hyperbolic_state, random_state_batch, spd_sqrt
 
 GRAV = 1.0
 

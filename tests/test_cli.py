@@ -190,16 +190,19 @@ def test_write_energy_series_columns(tmp_path):
     path = tmp_path / "energy.csv"
     write_energy_series(records, path)
     header, rows = read_csv(path)
-    assert header == ["t", "E_total", "relative_energy", "min_node_height", "restarts"]
-    assert [float(v) for v in rows[0]] == [0.0, 4.0, 0.0, 1.0, 0.0]
+    assert header == [
+        "t", "E_total", "relative_energy", "min_node_height", "restarts", "dt", "lam",
+    ]
+    assert [float(v) for v in rows[0]] == [0.0, 4.0, 0.0, 1.0, 0.0, 0.0, np.inf]
     assert float(rows[1][2]) == pytest.approx((3.9 - 4.0) / 3.9, rel=1e-15)
     assert rows[1][4] == "2"
+    assert [float(v) for v in rows[1][5:]] == [0.1, 0.5]
 
     debug = tmp_path / "debug.csv"
     write_energy_series(records, debug, debug_energy=True)
     header, rows = read_csv(debug)
     assert header[-1] == "relative_energy_initial_denom"
-    assert float(rows[1][5]) == pytest.approx((3.9 - 4.0) / 4.0, rel=1e-15)
+    assert float(rows[1][7]) == pytest.approx((3.9 - 4.0) / 4.0, rel=1e-15)
 
     empty = tmp_path / "none.csv"
     write_energy_series([], empty)

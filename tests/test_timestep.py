@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import sgswe.core
+import sgswe.timestep
 from sgswe.basis import build_basis
-from sgswe.core import Field
+from sgswe.core import Field, symmetrizer_eig, velocity
 from sgswe.errors import BlowUpError, DtUnderflowError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
@@ -18,6 +20,8 @@ from sgswe.timestep import (
     total_energy,
 )
 
+from conftest import random_state_batch
+
 
 def _sine_field(basis, nx, amp=0.1, policy="periodic"):
     K = basis.K
@@ -29,6 +33,16 @@ def _sine_field(basis, nx, amp=0.1, policy="periodic"):
         h[:, 1] = 0.02 * amp * np.cos(2.0 * np.pi * x)
     return Field(h=h, q=np.zeros((nx, K)), bottom=np.zeros((nx, K)), dx=dx,
                  x_left=0.0, ghost_policy=policy)
+
+
+def _dam_break_field(basis, nx):
+    K = basis.K
+    dx = 1.0 / nx
+    left = np.arange(nx) < nx // 2
+    h = np.zeros((nx, K))
+    h[:, 0] = np.where(left, 1.0, 0.5)
+    h[:, 1] = np.where(left, 0.05, 0.0)
+    return Field(h=h, q=np.zeros((nx, K)), bottom=np.zeros((nx, K)), dx=dx, x_left=0.0)
 
 
 def _lake_field(basis, nx):
@@ -186,3 +200,69 @@ def test_near_dry_run_restarts_and_stays_positive():
     final, records = integrate(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.02)
     assert all(r.min_node_height > 0.0 for r in records)
     assert records[-1].restarts > 0
+
+
+@pytest.mark.parametrize("scheme, k_per_step, k2_per_step", [("ec", 3, 1), ("es2", 6, 4)])
+def test_eigensolves_per_accepted_step(monkeypatch, scheme, k_per_step, k2_per_step):
+    # one velocity solve per accepted state: 1 + 3n K x K for ec; es2 adds
+    # one P(h_bar) solve per stage.  The 2K x 2K symmetrizer runs once per
+    # stage for es2 and once per step (CFL bound) for both.
+    basis = build_basis(3)
+    calls = {3: 0, 6: 0}
+    sym_eig = sgswe.core.sym_eig
+
+    def counted(A):
+        calls[A.shape[-1]] += 1
+        return sym_eig(A)
+
+    monkeypatch.setattr(sgswe.core, "sym_eig", counted)
+    _, records = integrate(basis, _dam_break_field(basis, 40), SchemeKind(scheme),
+                           1.0, 0.45, 0.05)
+    n = len(records) - 1
+    assert n >= 3 and records[-1].restarts == 0
+    assert calls == {3: 1 + k_per_step * n, 6: k2_per_step * n}
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_record_energy_is_standalone_total_energy(monkeypatch, scheme):
+    basis = build_basis(3)
+    fld = _dam_break_field(basis, 40)
+    states = [fld]
+    step = sgswe.timestep.ssp_rk3_step
+
+    def recording(*args, **kwargs):
+        out = step(*args, **kwargs)
+        states.append(out.field)
+        return out
+
+    monkeypatch.setattr(sgswe.timestep, "ssp_rk3_step", recording)
+    _, records = integrate(basis, fld, scheme, 1.0, 0.45, 0.05, snapshot_times=(0.011,))
+    assert len(states) == len(records)
+    for rec, state in zip(records, states):
+        assert rec.energy == total_energy(basis, state, 1.0)
+
+
+def test_cfl_dt_with_passed_velocity_is_bitwise():
+    basis = build_basis(4)
+    rng = np.random.default_rng(21)
+    st = random_state_batch(rng, 30, 4)
+    fld = Field(h=st.h, q=st.q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
+    vel, _ = velocity(basis, fld.state, fld.dx)
+    assert not vel.desingularized.any()
+    # the bound as computed with its own P(h) eigensolve
+    _, lam = symmetrizer_eig(basis, fld.h, vel.u, 1.0)
+    expected = 0.45 * fld.dx / float(np.max(np.abs(lam)))
+    assert cfl_dt(basis, fld, 1.0, 0.45, eps=fld.dx, vel=vel) == expected
+    assert cfl_dt(basis, fld, 1.0, 0.45, eps=fld.dx) == expected
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("make_field", [_sine_field, _dam_break_field])
+def test_step_with_passed_solve_is_bitwise(scheme, make_field):
+    basis = build_basis(3)
+    fld = make_field(basis, 40)
+    solved = velocity(basis, fld.state, fld.dx)
+    a = ssp_rk3_step(basis, fld, scheme, 1.0, 0.45, 0.0, 1.0)
+    b = ssp_rk3_step(basis, fld, scheme, 1.0, 0.45, 0.0, 1.0, solved=solved)
+    assert (a.t, a.dt, a.lam, a.restarts) == (b.t, b.dt, b.lam, b.restarts)
+    assert np.array_equal(a.field.h, b.field.h) and np.array_equal(a.field.q, b.field.q)
