@@ -7,7 +7,6 @@ from .core import (
     CellState,
     Field,
     Velocity,
-    flux_jacobian,
     physical_flux,
     project_bottom,
     symmetrizer_eig,
@@ -18,7 +17,6 @@ from .entropy import (
     energy_flux,
     energy_potential,
     entropy_variables,
-    hessian_quadform,
 )
 from .errors import (
     BlowUpError,
@@ -55,14 +53,12 @@ __all__ = [
     "Velocity",
     "velocity",
     "physical_flux",
-    "flux_jacobian",
     "symmetrizer_eig",
     "project_bottom",
     "energy",
     "energy_flux",
     "entropy_variables",
     "energy_potential",
-    "hessian_quadform",
     "SchemeKind",
     "interface_flux",
     "semidiscrete_rhs",

@@ -5,14 +5,15 @@ Config files are flat ``key = value`` text; ``#`` starts a comment.  The
 energy-history CSV plus one snapshot CSV per requested time, all RFC 4180
 (CRLF, comma-separated) with floats at full precision.
 
-Exit codes: 0 success, 1 failed --check, 2 bad config, 3 positivity or
-hyperbolicity loss, 4 blow-up (non-finite state), 5 dt underflow.
+Exit codes: 0 success, 1 failed --check, otherwise the ``exit_code`` of the
+raised ``sgswe.errors`` class.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -20,17 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .basis import PceBasis, build_basis, eval_basis, mean_variance
-from .core import CellState, Field, physical_flux, project_bottom, velocity
-from .entropy import energy_potential
-from .errors import (
-    BlowUpError,
-    ConfigError,
-    DtUnderflowError,
-    HyperbolicityError,
-    PositivityError,
-    SolverError,
-)
-from .schemes import SchemeKind, interface_flux, semidiscrete_rhs
+from .core import Field, project_bottom
+from .errors import ConfigError, SolverError
+from .schemes import SchemeKind, semidiscrete_rhs
 from .timestep import StepRecord, integrate, positivity_check
 
 __all__ = [
@@ -43,13 +36,6 @@ __all__ = [
     "run_checks",
     "main",
 ]
-
-EXPERIMENTS = (
-    "dam_break_flat",
-    "stochastic_bottom",
-    "lake_at_rest_perturbation",
-    "custom",
-)
 
 _CUSTOM_DEFAULTS = {
     "split_x": 0.0,
@@ -67,7 +53,6 @@ _CUSTOM_DEFAULTS = {
 
 _INT_KEYS = ("K", "nx")
 _FLOAT_KEYS = ("x_left", "x_right", "g", "cfl", "t_final")
-_STR_KEYS = ("experiment", "scheme", "boundary", "output_dir")
 
 
 @dataclass
@@ -111,27 +96,27 @@ def _coerce(key: str, value: str, kind):
         raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
 
 
-def load_config(path: str | Path) -> SolverConfig:
-    """Parse and validate a flat key = value config file."""
+def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> SolverConfig:
+    """Parse and validate a flat key = value config file.
+
+    overrides are key = value string pairs, such as the run flags; they
+    replace the file's values and are parsed and validated with them.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    pairs = _parse_pairs(text, str(path))
+    pairs = {**_parse_pairs(text, str(path)), **(overrides or {})}
 
     experiment = pairs.pop("experiment", None)
     if experiment is None:
         raise ConfigError("config is missing required key 'experiment'")
-    if experiment not in EXPERIMENTS:
+    if experiment not in _PRESETS:
         raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
+            f"unknown experiment {experiment!r}; expected one of {', '.join(_PRESETS)}"
         )
-    cfg = SolverConfig(experiment=experiment)
-
-    preset_tf = {"dam_break_flat": 0.4, "stochastic_bottom": 0.8,
-                 "lake_at_rest_perturbation": 0.8, "custom": 0.4}
-    cfg.t_final = preset_tf[experiment]
+    cfg = SolverConfig(experiment=experiment, t_final=_PRESETS[experiment][0])
 
     for key, value in pairs.items():
         if key in _INT_KEYS:
@@ -170,6 +155,12 @@ def validate_config(cfg: SolverConfig):
         raise ConfigError(f"K must be >= 1, got {cfg.K}")
     if cfg.nx < 8:
         raise ConfigError(f"nx must be >= 8, got {cfg.nx}")
+    finite = {key: getattr(cfg, key) for key in _FLOAT_KEYS} | cfg.custom
+    for key, value in finite.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    if not cfg.g > 0.0:
+        raise ConfigError(f"g must be positive, got {cfg.g}")
     if not cfg.t_final > 0.0:
         raise ConfigError(f"t_final must be positive, got {cfg.t_final}")
     if not cfg.cfl > 0.0:
@@ -179,7 +170,7 @@ def validate_config(cfg: SolverConfig):
     if cfg.boundary not in ("outflow", "periodic"):
         raise ConfigError(f"unknown boundary {cfg.boundary!r}")
     for ts in cfg.snapshot_times:
-        if ts < 0.0 or ts > cfg.t_final:
+        if not 0.0 <= ts <= cfg.t_final:
             raise ConfigError(f"snapshot time {ts} outside [0, {cfg.t_final}]")
 
 
@@ -223,35 +214,32 @@ def bottom_two_bumps(x, xi):
 
 
 def _custom_functions(params):
-    def surface(x, xi):
-        left = params["w_left"] + params["w_left_xi"] * np.asarray(xi)
-        right = params["w_right"] + params["w_right_xi"] * np.asarray(xi)
-        return np.where(np.asarray(x) < params["split_x"], left, right)
-
-    def discharge(x, xi):
-        left = params["q_left"] + params["q_left_xi"] * np.asarray(xi)
-        right = params["q_right"] + params["q_right_xi"] * np.asarray(xi)
-        return np.where(np.asarray(x) < params["split_x"], left, right)
+    def piecewise(var):
+        """var_left + var_left_xi xi left of split_x, the _right pair right of it."""
+        def value(x, xi):
+            left = params[f"{var}_left"] + params[f"{var}_left_xi"] * np.asarray(xi)
+            right = params[f"{var}_right"] + params[f"{var}_right_xi"] * np.asarray(xi)
+            return np.where(np.asarray(x) < params["split_x"], left, right)
+        return value
 
     def bottom(x, xi):
         return params["b_const"] + params["b_xi"] * np.asarray(xi) + 0.0 * np.asarray(x)
 
-    return surface, discharge, bottom
+    return piecewise("w"), piecewise("q"), bottom
 
 
 def _zero(x, xi):
     return np.zeros(np.broadcast(np.asarray(x), np.asarray(xi)).shape)
 
 
-def initial_functions(cfg: SolverConfig):
-    """(surface, discharge, bottom) callables of (x, xi) for the experiment."""
-    if cfg.experiment == "dam_break_flat":
-        return surface_dam_break, _zero, _zero
-    if cfg.experiment == "stochastic_bottom":
-        return surface_two_levels, _zero, bottom_stochastic
-    if cfg.experiment == "lake_at_rest_perturbation":
-        return surface_lake_perturbation, _zero, bottom_two_bumps
-    return _custom_functions(cfg.custom)
+# experiment -> (default t_final, (surface, discharge, bottom) callables of
+# (x, xi)); custom's callables are built from SolverConfig.custom.
+_PRESETS = {
+    "dam_break_flat": (0.4, (surface_dam_break, _zero, _zero)),
+    "stochastic_bottom": (0.8, (surface_two_levels, _zero, bottom_stochastic)),
+    "lake_at_rest_perturbation": (0.8, (surface_lake_perturbation, _zero, bottom_two_bumps)),
+    "custom": (0.4, None),
+}
 
 
 def build_experiment(cfg: SolverConfig, basis: PceBasis) -> Field:
@@ -262,17 +250,11 @@ def build_experiment(cfg: SolverConfig, basis: PceBasis) -> Field:
     """
     dx = (cfg.x_right - cfg.x_left) / cfg.nx
     x_centers = cfg.x_left + dx * (np.arange(cfg.nx) + 0.5)
-    surface, discharge, bottom = initial_functions(cfg)
+    surface, discharge, bottom = _PRESETS[cfg.experiment][1] or _custom_functions(cfg.custom)
     B = project_bottom(bottom, basis, x_centers)
     h = project_bottom(surface, basis, x_centers) - B
     q = project_bottom(discharge, basis, x_centers)
-    ok, where = positivity_check(basis, h)
-    if not ok:
-        raise PositivityError(
-            "initial height not positive at all quadrature nodes",
-            cell=where[0],
-            node=where[1],
-        )
+    positivity_check(basis, h)
     return Field(h=h, q=q, bottom=B, dx=dx, x_left=cfg.x_left, ghost_policy=cfg.boundary)
 
 
@@ -358,23 +340,11 @@ def write_energy_series(records: list[StepRecord], path: Path, debug_energy: boo
 # ---------------------------------------------------------------------------
 
 
-def _exit_code(exc: SolverError) -> int:
-    if isinstance(exc, ConfigError):
-        return 2
-    if isinstance(exc, (HyperbolicityError, PositivityError)):
-        return 3
-    if isinstance(exc, BlowUpError):
-        return 4
-    if isinstance(exc, DtUnderflowError):
-        return 5
-    return 1
-
-
 def run(cfg: SolverConfig, debug_energy: bool = False) -> int:
     """Integrate the configured experiment, writing CSVs into output_dir.
 
     A failing run still writes the energy history accumulated so far and
-    returns the taxonomy exit code.
+    returns the error's exit code.
     """
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -404,7 +374,7 @@ def run(cfg: SolverConfig, debug_energy: bool = False) -> int:
             f"error: {exc} (reached t = {_fmt(t_reached)})",
             file=sys.stderr,
         )
-        return _exit_code(exc)
+        return exc.exit_code
     write_energy_series(records, out / "energy.csv", debug_energy)
     last = records[-1]
     print(
@@ -415,42 +385,22 @@ def run(cfg: SolverConfig, debug_energy: bool = False) -> int:
 
 
 def run_checks(cfg: SolverConfig) -> int:
-    """Deterministic sanity checks on the configured experiment; exit 1 on
-    the first failure."""
-    checks = []
+    """Checks of the configured experiment before a long run; returns 1 if
+    one fails.  Building the initial field and its right-hand side raises
+    the solver errors of a dry or non-hyperbolic start."""
     basis = build_basis(cfg.K)
-    gram = basis.basis_table.T @ (basis.quad_weights[:, None] * basis.basis_table)
-    checks.append(("basis orthonormality", float(np.max(np.abs(gram - np.eye(cfg.K)))), 1e-13))
-
     field = build_experiment(cfg, basis)
-    i = cfg.nx // 3
-    pair = CellState(field.h[i : i + 2], field.q[i : i + 2])
-    u = velocity(basis, pair, 0.0)[0].u
-    B = field.bottom[i : i + 2]
-    same = interface_flux(basis, pair.h[[0, 0]], u[[0, 0]], B[[0, 0]], SchemeKind.EC, cfg.g)
-    f_exact = physical_flux(basis, CellState(pair.h[0], pair.q[0]), cfg.g)
-    checks.append(("flux consistency", float(np.max(np.abs(same.flux[0] - f_exact))), 1e-12))
-
-    k = interface_flux(basis, pair.h, u, B, SchemeKind.EC, cfg.g, with_diagnostics=True)
-    jV = k.entropy_vars[1] - k.entropy_vars[0]
-    psi = energy_potential(basis, pair, cfg.g, u=u)
-    u_bar = 0.5 * (u[0] + u[1])
-    residual = jV @ k.flux[0] - (psi[1] - psi[0]) - cfg.g * (B[1] - B[0]) @ (k.Ph_bar[0] @ u_bar)
-    checks.append(("energy conservation condition", float(abs(residual)), 1e-10))
-
     r = semidiscrete_rhs(basis, field, cfg.scheme, cfg.g, eps=field.dx)
     total_h_rate = field.dx * np.sum(r.rhs[:, : cfg.K], axis=0)
     boundary_balance = -(r.fluxes[-1, : cfg.K] - r.fluxes[0, : cfg.K])
-    checks.append(
+    checks = [
         (
             "height conservation telescopes",
             float(np.max(np.abs(total_h_rate - boundary_balance))),
             1e-10,
-        )
-    )
-    checks.append(
-        ("rhs finite", 0.0 if np.all(np.isfinite(r.rhs)) else np.inf, 0.5)
-    )
+        ),
+        ("rhs finite", 0.0 if np.all(np.isfinite(r.rhs)) else np.inf, 0.5),
+    ]
 
     failed = 0
     for name, value, tol in checks:
@@ -469,8 +419,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="integrate a configured experiment")
     runp.add_argument("--config", required=True, help="path to key = value config file")
     runp.add_argument("--scheme", help="override scheme: ec, es1 or es2")
-    runp.add_argument("--nx", type=int, help="override cell count")
-    runp.add_argument("--cfl", type=float, help="override CFL number")
+    runp.add_argument("--nx", help="override cell count")
+    runp.add_argument("--cfl", help="override CFL number")
     runp.add_argument("--out", help="override output directory")
     runp.add_argument(
         "--check",
@@ -484,26 +434,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    flags = {"scheme": args.scheme, "nx": args.nx, "cfl": args.cfl, "output_dir": args.out}
     try:
-        cfg = load_config(args.config)
-        if args.scheme is not None:
-            try:
-                cfg.scheme = SchemeKind.from_string(args.scheme)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-        if args.nx is not None:
-            cfg.nx = args.nx
-        if args.cfl is not None:
-            cfg.cfl = args.cfl
-        if args.out is not None:
-            cfg.output_dir = args.out
-        validate_config(cfg)
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         if args.check:
             return run_checks(cfg)
         return run(cfg, debug_energy=args.debug_energy)
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

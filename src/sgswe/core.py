@@ -23,7 +23,6 @@ __all__ = [
     "Field",
     "velocity",
     "physical_flux",
-    "flux_jacobian",
     "symmetrizer_eig",
     "project_bottom",
     "pad_ghosts",
@@ -178,29 +177,6 @@ def physical_flux(
         p_operator(basis, state.h), state.h
     )
     return np.concatenate([state.q, Fq], axis=-1)
-
-
-def flux_jacobian(basis: PceBasis, state: CellState, g: float) -> np.ndarray:
-    """Flux Jacobian dF/dU in K x K blocks:
-
-        [ O                                I                    ]
-        [ g P(h) - P(q) P^{-1}(h) P(u)     P(q) P^{-1}(h) + P(u)]
-
-    with the inverse realized through the same eigen-path as velocity().
-    """
-    Ph, pi, Q = _p_eig(basis, state.h)
-    Pinv = (Q / pi[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    u = _mv(Pinv, state.q)
-    Pq = p_operator(basis, state.q)
-    Pu = p_operator(basis, u)
-    PqPinv = Pq @ Pinv
-    K = basis.K
-    shape = state.h.shape[:-1]
-    J = np.zeros(shape + (2 * K, 2 * K))
-    J[..., :K, K:] = np.eye(K)
-    J[..., K:, :K] = g * Ph - PqPinv @ Pu
-    J[..., K:, K:] = PqPinv + Pu
-    return J
 
 
 def _normalize_columns(L: np.ndarray) -> np.ndarray:

@@ -12,14 +12,13 @@ import numpy as np
 
 from .basis import PceBasis, p_operator
 from .core import CellState, velocity
-from .linalg import _dot, _mv, spd_solve
+from .linalg import _dot, _mv
 
 __all__ = [
     "energy",
     "energy_flux",
     "entropy_variables",
     "energy_potential",
-    "hessian_quadform",
 ]
 
 
@@ -87,22 +86,3 @@ def energy_potential(
     """Psi = V.F - H = (g/2) u^T P(h) h; the bottom drops out."""
     u, state = _resolve_u(basis, state, u)
     return 0.5 * g * _dot(u, _mv(p_operator(basis, state.h), state.h))
-
-
-def hessian_quadform(
-    basis: PceBasis,
-    state: CellState,
-    g: float,
-    w1: np.ndarray,
-    w2: np.ndarray,
-    u: np.ndarray | None = None,
-) -> np.ndarray:
-    """w^T (d2E/dU2) w = g |w1|^2 + r^T P(h)^{-1} r with r = P(u) w1 - w2.
-
-    Strictly positive for w != 0 whenever P(h) is SPD, so E is strictly
-    convex there.
-    """
-    u, state = _resolve_u(basis, state, u)
-    r = _mv(p_operator(basis, u), w1) - w2
-    x = spd_solve(p_operator(basis, state.h), r)
-    return g * _dot(w1, w1) + _dot(r, x)

@@ -1,4 +1,5 @@
-"""Exception taxonomy shared across the solver, mapped to CLI exit codes."""
+"""Exception taxonomy shared across the solver; each class's ``exit_code``
+is the status ``sgswe run`` exits with when it is raised."""
 
 __all__ = [
     "SolverError",
@@ -13,17 +14,23 @@ __all__ = [
 class SolverError(Exception):
     """Base class for all solver failures."""
 
+    exit_code = 1
+
 
 class ConfigError(SolverError):
-    """Invalid configuration or basis sizes (exit code 2)."""
+    """Invalid configuration or basis sizes."""
+
+    exit_code = 2
 
 
 class HyperbolicityError(SolverError):
-    """P(h) lost positive definiteness at some cell (exit code 3).
+    """P(h) lost positive definiteness at some cell.
 
     `cell` is the offending cell index when known, `detail` an optional
     eigenvalue or node diagnostic.
     """
+
+    exit_code = 3
 
     def __init__(self, message, cell=None, detail=None):
         super().__init__(message)
@@ -32,7 +39,9 @@ class HyperbolicityError(SolverError):
 
 
 class PositivityError(SolverError):
-    """Height surrogate non-positive at a quadrature node (exit code 3)."""
+    """Height surrogate non-positive at a quadrature node."""
+
+    exit_code = 3
 
     def __init__(self, message, cell=None, node=None):
         super().__init__(message)
@@ -41,7 +50,9 @@ class PositivityError(SolverError):
 
 
 class BlowUpError(SolverError):
-    """NaN/Inf detected in the state (exit code 4)."""
+    """NaN/Inf detected in the state."""
+
+    exit_code = 4
 
     def __init__(self, message, t=None):
         super().__init__(message)
@@ -49,7 +60,9 @@ class BlowUpError(SolverError):
 
 
 class DtUnderflowError(SolverError):
-    """Adaptive time step shrank below the resolvable scale (exit code 5)."""
+    """Adaptive time step shrank below the resolvable scale."""
+
+    exit_code = 5
 
     def __init__(self, message, t=None, dt=None):
         super().__init__(message)

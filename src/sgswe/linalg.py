@@ -1,4 +1,4 @@
-"""Dense symmetric eigen/SPD kernels and batched products.
+"""Dense symmetric eigensolver and batched products.
 
 All inputs are symmetrized as (A + A^T)/2 before factorization so that
 accumulated rounding in assembled P(.) products cannot trip the solver.
@@ -11,11 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SymEig", "NotSPDError", "sym_eig", "spd_solve"]
-
-
-class NotSPDError(np.linalg.LinAlgError):
-    """Matrix expected to be SPD has a non-positive eigenvalue."""
+__all__ = ["SymEig", "sym_eig"]
 
 
 @dataclass(frozen=True)
@@ -45,19 +41,3 @@ def sym_eig(A: np.ndarray) -> SymEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
     values, vectors = np.linalg.eigh(_symmetrize(A))
     return SymEig(values=values, vectors=vectors)
-
-
-def spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for SPD A; raises NotSPDError if A is not SPD.
-
-    b may be a vector (..., n) or a stack of right-hand sides (..., n, k).
-    """
-    A = _symmetrize(A)
-    try:
-        np.linalg.cholesky(A)  # SPD gate; cheap at the sizes used here
-    except np.linalg.LinAlgError as exc:
-        raise NotSPDError("matrix is not SPD") from exc
-    b = np.asarray(b, dtype=float)
-    if b.ndim == A.ndim - 1:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    return np.linalg.solve(A, b)

@@ -36,16 +36,17 @@ __all__ = [
 _DT_FLOOR_FRAC = 1e-14
 
 
-def positivity_check(basis: PceBasis, h: np.ndarray):
-    """True when the height surrogate is positive at every quadrature node.
-
-    Returns (ok, None) or (False, (cell, node)) for the first violation.
-    """
+def positivity_check(basis: PceBasis, h: np.ndarray) -> np.ndarray:
+    """Node heights h_i(xi_m), shape (nx, M); raises PositivityError naming
+    the first cell and node whose height is not positive."""
     node_h = h @ basis.basis_table.T
-    if np.all(node_h > 0.0):
-        return True, None
-    i, m = np.argwhere(node_h <= 0.0)[0]
-    return False, (int(i), int(m))
+    bad = ~(node_h > 0.0)
+    if np.any(bad):
+        i, m = np.argwhere(bad)[0]
+        raise PositivityError(
+            f"nonpositive node height {node_h[i, m]:.6e}", cell=int(i), node=int(m)
+        )
+    return node_h
 
 
 def positivity_lambda(
@@ -57,14 +58,7 @@ def positivity_lambda(
     evaluated on the height block of the interface fluxes; vanishing flux
     differences contribute +inf.  Requires positive node heights on entry.
     """
-    node_h = h @ basis.basis_table.T
-    if np.any(node_h <= 0.0):
-        i, m = np.argwhere(node_h <= 0.0)[0]
-        raise PositivityError(
-            f"nonpositive node height {node_h[i, m]:.6e}",
-            cell=int(i),
-            node=int(m),
-        )
+    node_h = positivity_check(basis, h)
     node_F = fluxes[:, : basis.K] @ basis.basis_table.T
     dF = node_F[1:] - node_F[:-1]
     ratio = np.where(dF != 0.0, np.abs(dx * node_h / np.where(dF == 0.0, 1.0, dF)), np.inf)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from sgswe.basis import build_basis
-from sgswe.core import CellState
-from sgswe.linalg import NotSPDError, sym_eig
+from sgswe.basis import build_basis, p_operator
+from sgswe.core import CellState, velocity
+from sgswe.linalg import sym_eig
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +50,35 @@ def random_state_batch(rng, n, K, h_mean=1.5, spread=0.1, q_scale=0.3):
     return CellState(h=_cap_fluctuations(h), q=q)
 
 
+# Test-only oracles: SPD helpers, the flux Jacobian and the energy Hessian.
+# The solver needs none of them; the tests check its eigen-path against them.
+
+
+class NotSPDError(np.linalg.LinAlgError):
+    """Matrix expected to be SPD has a non-positive eigenvalue."""
+
+
+def _mv(A, x):
+    return np.einsum("...ij,...j->...i", A, x)
+
+
+def spd_solve(A, b):
+    """Solve A x = b for SPD A; raises NotSPDError if A is not SPD.
+
+    b may be a vector (..., n) or a stack of right-hand sides (..., n, k).
+    """
+    A = np.asarray(A, dtype=float)
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    try:
+        np.linalg.cholesky(A)  # SPD gate; cheap at the sizes used here
+    except np.linalg.LinAlgError as exc:
+        raise NotSPDError("matrix is not SPD") from exc
+    b = np.asarray(b, dtype=float)
+    if b.ndim == A.ndim - 1:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    return np.linalg.solve(A, b)
+
+
 def spd_sqrt(A):
     """Symmetric positive definite square root G with G @ G = A."""
     eig = sym_eig(A)
@@ -59,3 +88,39 @@ def spd_sqrt(A):
         )
     root = eig.vectors * np.sqrt(eig.values)[..., None, :]
     return root @ np.swapaxes(eig.vectors, -1, -2)
+
+
+def flux_jacobian(basis, state, g):
+    """Flux Jacobian dF/dU in K x K blocks:
+
+        [ O                                I                    ]
+        [ g P(h) - P(q) P^{-1}(h) P(u)     P(q) P^{-1}(h) + P(u)]
+
+    with P^{-1}(h) built from the P(h) eigenpairs that velocity() uses.
+    """
+    vel = velocity(basis, state, 0.0)[0]
+    Ph, pi, Q = vel.Ph, vel.pi, vel.Q
+    Pinv = (Q / pi[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    u = _mv(Pinv, state.q)
+    Pq = p_operator(basis, state.q)
+    Pu = p_operator(basis, u)
+    PqPinv = Pq @ Pinv
+    K = basis.K
+    J = np.zeros(state.h.shape[:-1] + (2 * K, 2 * K))
+    J[..., :K, K:] = np.eye(K)
+    J[..., K:, :K] = g * Ph - PqPinv @ Pu
+    J[..., K:, K:] = PqPinv + Pu
+    return J
+
+
+def hessian_quadform(basis, state, g, w1, w2, u=None):
+    """w^T (d2E/dU2) w = g |w1|^2 + r^T P(h)^{-1} r with r = P(u) w1 - w2.
+
+    Strictly positive for w != 0 whenever P(h) is SPD, so E is strictly
+    convex there.
+    """
+    if u is None:
+        u = velocity(basis, state, 0.0)[0].u
+    r = _mv(p_operator(basis, u), w1) - w2
+    x = spd_solve(p_operator(basis, state.h), r)
+    return g * np.sum(w1 * w1, axis=-1) + np.sum(r * x, axis=-1)

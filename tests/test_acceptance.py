@@ -25,11 +25,17 @@ from sgswe import (
     velocity,
 )
 from sgswe.cli import main
-from sgswe.core import CellState, Field, flux_jacobian, physical_flux, project_bottom
-from sgswe.entropy import energy, energy_flux, hessian_quadform
+from sgswe.core import CellState, Field, physical_flux, project_bottom
+from sgswe.entropy import energy, energy_flux
 from sgswe.errors import DtUnderflowError
 
-from conftest import random_hyperbolic_state, random_state_batch, spd_sqrt
+from conftest import (
+    flux_jacobian,
+    hessian_quadform,
+    random_hyperbolic_state,
+    random_state_batch,
+    spd_sqrt,
+)
 
 GRAV = 1.0
 

@@ -9,7 +9,10 @@ import pytest
 
 import sgswe
 from sgswe import (
+    BlowUpError,
     ConfigError,
+    DtUnderflowError,
+    HyperbolicityError,
     PositivityError,
     SchemeKind,
     SolverConfig,
@@ -77,6 +80,17 @@ def test_load_config_overrides_and_comments(tmp_path):
     assert cfg.output_dir == "results"
 
 
+def test_load_config_overrides_replace_file_values(tmp_path):
+    path = write_cfg(tmp_path, "experiment = dam_break_flat\nnx = 64\nscheme = ec\n")
+    cfg = load_config(path, {"nx": "24", "scheme": "es1"})
+    assert (cfg.nx, cfg.scheme) == (24, SchemeKind.ES1)
+    assert load_config(path).nx == 64
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(path, {"nx": "ten"})
+    with pytest.raises(ConfigError, match="nx must be"):
+        load_config(path, {"nx": "4"})
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -110,6 +124,16 @@ def test_load_config_missing_file(tmp_path):
         {"x_right": -2.0},
         {"boundary": "reflecting"},
         {"snapshot_times": (0.5,), "t_final": 0.4},
+        {"g": 0.0},
+        {"g": -1.0},
+        {"g": math.inf},
+        {"g": math.nan},
+        {"t_final": math.inf},
+        {"x_right": math.inf},
+        {"x_left": -math.inf},
+        {"cfl": math.inf},
+        {"snapshot_times": (math.nan,)},
+        {"custom": {"w_left": math.inf}},
     ],
 )
 def test_validate_config_rejects(patch):
@@ -248,12 +272,17 @@ def test_run_is_deterministic(tmp_path):
 
 def test_main_run_and_overrides(tmp_path):
     out = tmp_path / "cli_out"
-    path = write_cfg(tmp_path, "experiment = custom\nK = 2\nnx = 32\nt_final = 0.02\n")
+    path = write_cfg(
+        tmp_path,
+        "experiment = custom\nK = 2\nnx = 32\nt_final = 0.02\nscheme = es2\n"
+        f"output_dir = {tmp_path / 'file_out'}\n",
+    )
     code = main(
         ["run", "--config", str(path), "--scheme", "ec", "--nx", "24", "--out", str(out)]
     )
     assert code == 0
     assert (out / "energy.csv").exists()
+    assert not (tmp_path / "file_out").exists()
     _, rows = read_csv(out / "snapshot_t0.02.csv")
     assert len(rows) == 24
 
@@ -273,6 +302,44 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(dry)]) == 3
     assert "error:" in capsys.readouterr().err
 
+    zero_g = write_cfg(tmp_path, "experiment = dam_break_flat\nK = 3\nnx = 16\ng = 0\n", "g.cfg")
+    assert main(["run", "--config", str(zero_g)]) == 2
+    assert "error: g must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--nx", "4"], ["--cfl", "-1"], ["--scheme", "roe"], ["--nx", "ten"]]
+)
+def test_main_rejects_bad_flags(tmp_path, capsys, flag):
+    path = write_cfg(tmp_path, f"experiment = custom\nK = 2\noutput_dir = {tmp_path / 'o'}\n")
+    assert main(["run", "--config", str(path), *flag]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (HyperbolicityError("P(h) not positive definite", cell=1), 3),
+        (PositivityError("nonpositive node height", cell=1, node=0), 3),
+        (BlowUpError("non-finite state encountered", t=0.0), 4),
+        (DtUnderflowError("dt fell below the floor", t=0.0, dt=0.0), 5),
+    ],
+)
+def test_main_solver_error_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
+    def failing_integrate(basis, field, *args, records, **kwargs):
+        records.append(
+            StepRecord(t=0.0, dt=0.0, lam=np.inf, restarts=0, energy=1.0, min_node_height=1.0)
+        )
+        raise exc
+
+    monkeypatch.setattr(sgswe.cli, "integrate", failing_integrate)
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, f"experiment = custom\nK = 2\nnx = 16\noutput_dir = {out}\n")
+    assert main(["run", "--config", str(path)]) == code
+    assert f"error: {exc}" in capsys.readouterr().err
+    assert (out / "energy.csv").exists()
+
 
 def test_main_check_mode(tmp_path, capsys):
     path = write_cfg(
@@ -281,7 +348,7 @@ def test_main_check_mode(tmp_path, capsys):
     )
     assert main(["run", "--config", str(path), "--check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("check:") == 5
+    assert out.count("check:") == 2
     assert "FAIL" not in out
 
 

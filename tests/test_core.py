@@ -9,7 +9,6 @@ from sgswe.basis import build_basis, p_operator
 from sgswe.core import (
     CellState,
     Field,
-    flux_jacobian,
     pad_ghosts,
     physical_flux,
     project_bottom,
@@ -18,7 +17,7 @@ from sgswe.core import (
 )
 from sgswe.errors import HyperbolicityError
 
-from conftest import random_hyperbolic_state, random_state_batch
+from conftest import flux_jacobian, random_hyperbolic_state, random_state_batch
 
 
 def test_velocity_exact_inverse(basis9):

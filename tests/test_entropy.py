@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from sgswe.basis import p_operator
-from sgswe.core import CellState, flux_jacobian, physical_flux, velocity
+from sgswe.core import CellState, physical_flux, velocity
 from sgswe.entropy import (
     energy,
     energy_flux,
     energy_potential,
     entropy_variables,
-    hessian_quadform,
 )
 
-from conftest import random_hyperbolic_state
+from conftest import flux_jacobian, hessian_quadform, random_hyperbolic_state
 
 
 def _fd_gradient(fun, U, delta=1e-6):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from sgswe.linalg import NotSPDError, spd_solve, sym_eig
+from sgswe.linalg import sym_eig
 
-from conftest import spd_sqrt
+from conftest import NotSPDError, spd_solve, spd_sqrt
 
 
 def _random_spd(rng, n, batch=()):

@@ -7,7 +7,7 @@ import sgswe.core
 import sgswe.timestep
 from sgswe.basis import build_basis
 from sgswe.core import Field, symmetrizer_eig, velocity
-from sgswe.errors import BlowUpError, DtUnderflowError
+from sgswe.errors import BlowUpError, DtUnderflowError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
     cfl_dt,
@@ -60,11 +60,15 @@ def _lake_field(basis, nx):
 
 def test_positivity_check_reports_first_violation():
     basis = build_basis(2)
-    h = np.array([[1.0, 0.0], [1.0, 0.9]])  # second cell dips negative at a node
-    ok, where = positivity_check(basis, h)
-    assert not ok and where[0] == 1
-    ok, where = positivity_check(basis, np.array([[1.0, 0.0]]))
-    assert ok and where is None
+    h = np.array([[1.0, 0.0], [1.0, 0.9]])  # second cell dips negative at node 0
+    with pytest.raises(PositivityError) as err:
+        positivity_check(basis, h)
+    assert (err.value.cell, err.value.node) == (1, 0)
+    with pytest.raises(PositivityError) as err:
+        positivity_check(basis, np.array([[1.0, 0.0], [np.nan, 0.0]]))
+    assert (err.value.cell, err.value.node) == (1, 0)
+    wet = np.array([[1.0, 0.0], [1.0, 0.5]])
+    np.testing.assert_array_equal(positivity_check(basis, wet), wet @ basis.basis_table.T)
 
 
 def test_positivity_lambda_single_cell_value():
