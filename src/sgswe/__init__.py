@@ -32,7 +32,6 @@ from .timestep import (
     integrate,
     positivity_check,
     positivity_lambda,
-    rk3_fixed,
     ssp_rk3_step,
     total_energy,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "positivity_lambda",
     "cfl_dt",
     "ssp_rk3_step",
-    "rk3_fixed",
     "integrate",
     "total_energy",
     "SolverError",

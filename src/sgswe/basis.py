@@ -67,20 +67,15 @@ class PceBasis:
         return self.quad_nodes.size
 
 
-def build_basis(K: int, quad_order: int | None = None) -> PceBasis:
+def build_basis(K: int) -> PceBasis:
     """Build the orthonormal Legendre PCE basis of dimension K.
 
-    quad_order defaults to 2K Gauss-Legendre nodes, which integrates degree
-    4K-1 exactly and therefore all triple products (degree <= 3K-3).
+    The 2K Gauss-Legendre nodes integrate degree 4K-1 exactly and therefore
+    all triple products (degree <= 3K-3).
     """
     if K < 1:
         raise ConfigError(f"basis dimension K must be >= 1, got {K}")
-    M = 2 * K if quad_order is None else int(quad_order)
-    if 2 * M - 1 < 3 * (K - 1):
-        raise ConfigError(
-            f"quad_order={M} cannot integrate degree-{3 * (K - 1)} triple products"
-        )
-    nodes, weights = np.polynomial.legendre.leggauss(M)
+    nodes, weights = np.polynomial.legendre.leggauss(2 * K)
     weights = weights / 2.0  # uniform density rho = 1/2 on [-1, 1]
     table = eval_basis(nodes, K)
 

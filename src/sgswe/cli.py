@@ -112,11 +112,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> So
     experiment = pairs.pop("experiment", None)
     if experiment is None:
         raise ConfigError("config is missing required key 'experiment'")
-    if experiment not in _PRESETS:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {', '.join(_PRESETS)}"
-        )
-    cfg = SolverConfig(experiment=experiment, t_final=_PRESETS[experiment][0])
+    cfg = SolverConfig(experiment=experiment, t_final=_preset(experiment)[0])
 
     for key, value in pairs.items():
         if key in _INT_KEYS:
@@ -151,6 +147,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> So
 
 
 def validate_config(cfg: SolverConfig):
+    _preset(cfg.experiment)
     if cfg.K < 1:
         raise ConfigError(f"K must be >= 1, got {cfg.K}")
     if cfg.nx < 8:
@@ -242,15 +239,25 @@ _PRESETS = {
 }
 
 
-def build_experiment(cfg: SolverConfig, basis: PceBasis) -> Field:
-    """Project the experiment's initial data onto the grid and basis.
+def _preset(experiment: str):
+    try:
+        return _PRESETS[experiment]
+    except KeyError:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; expected one of {', '.join(_PRESETS)}"
+        ) from None
 
-    Raises PositivityError when the projected initial height is not positive
-    at every quadrature node of every cell.
+
+def build_experiment(cfg: SolverConfig, basis: PceBasis) -> Field:
+    """Project the validated experiment's initial data onto the grid and basis.
+
+    Raises ConfigError for an invalid cfg, PositivityError when the projected
+    initial height is not positive at every quadrature node of every cell.
     """
+    validate_config(cfg)
     dx = (cfg.x_right - cfg.x_left) / cfg.nx
     x_centers = cfg.x_left + dx * (np.arange(cfg.nx) + 0.5)
-    surface, discharge, bottom = _PRESETS[cfg.experiment][1] or _custom_functions(cfg.custom)
+    surface, discharge, bottom = _preset(cfg.experiment)[1] or _custom_functions(cfg.custom)
     B = project_bottom(bottom, basis, x_centers)
     h = project_bottom(surface, basis, x_centers) - B
     q = project_bottom(discharge, basis, x_centers)
@@ -263,8 +270,20 @@ def build_experiment(cfg: SolverConfig, basis: PceBasis) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """Integers as str prints them, floats at full precision."""
+    return str(x) if isinstance(x, int) else format(float(x), ".17g")
+
+
+def _write_csv(path: Path, header: list[str], columns: list):
+    """One row per entry of the equal-length columns, every cell through
+    _fmt, CRLF line ends."""
+    # Python scalars: faster to format than numpy ones, and ints stay ints
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(x) for x in row] for row in rows)
 
 
 def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
@@ -282,28 +301,12 @@ def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
         q005, q995 = np.quantile(vals, [0.005, 0.995], axis=-1)
         return mean, np.sqrt(var), q005, q995
 
-    w_mean, w_std, w_q005, w_q995 = stats(field.h + field.bottom)
-    q_mean, q_std, q_q005, q_q995 = stats(field.q)
     b_mean, b_var = mean_variance(field.bottom)
-    b_std = np.sqrt(b_var)
-
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(
-            [
-                "x_center", "w_mean", "w_std", "w_q005", "w_q995",
-                "q_mean", "q_std", "q_q005", "q_q995", "B_mean", "B_std",
-            ]
-        )
-        for i, x in enumerate(field.x_centers):
-            writer.writerow(
-                [
-                    _fmt(x),
-                    _fmt(w_mean[i]), _fmt(w_std[i]), _fmt(w_q005[i]), _fmt(w_q995[i]),
-                    _fmt(q_mean[i]), _fmt(q_std[i]), _fmt(q_q005[i]), _fmt(q_q995[i]),
-                    _fmt(b_mean[i]), _fmt(b_std[i]),
-                ]
-            )
+    header = ["x_center", "w_mean", "w_std", "w_q005", "w_q995",
+              "q_mean", "q_std", "q_q005", "q_q995", "B_mean", "B_std"]
+    columns = [field.x_centers, *stats(field.h + field.bottom), *stats(field.q),
+               b_mean, np.sqrt(b_var)]
+    _write_csv(path, header, columns)
 
 
 def write_energy_series(records: list[StepRecord], path: Path, debug_energy: bool = False):
@@ -313,26 +316,18 @@ def write_energy_series(records: list[StepRecord], path: Path, debug_energy: boo
     (0 and inf on the initial row)."""
     if not records:
         return
-    e0 = records[0].energy
+
+    def col(name):
+        return [getattr(rec, name) for rec in records]
+
+    e = np.array(col("energy"))
     header = ["t", "E_total", "relative_energy", "min_node_height", "restarts", "dt", "lam"]
+    columns = [col("t"), e, (e - e[0]) / e, col("min_node_height"), col("restarts"),
+               col("dt"), col("lam")]
     if debug_energy:
         header.append("relative_energy_initial_denom")
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(header)
-        for rec in records:
-            row = [
-                _fmt(rec.t),
-                _fmt(rec.energy),
-                _fmt((rec.energy - e0) / rec.energy),
-                _fmt(rec.min_node_height),
-                str(rec.restarts),
-                _fmt(rec.dt),
-                _fmt(rec.lam),
-            ]
-            if debug_energy:
-                row.append(_fmt((rec.energy - e0) / e0))
-            writer.writerow(row)
+        columns.append((e - e[0]) / e[0])
+    _write_csv(path, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +385,7 @@ def run_checks(cfg: SolverConfig) -> int:
     the solver errors of a dry or non-hyperbolic start."""
     basis = build_basis(cfg.K)
     field = build_experiment(cfg, basis)
-    r = semidiscrete_rhs(basis, field, cfg.scheme, cfg.g, eps=field.dx)
+    r = semidiscrete_rhs(basis, field, cfg.scheme, cfg.g)
     total_h_rate = field.dx * np.sum(r.rhs[:, : cfg.K], axis=0)
     boundary_balance = -(r.fluxes[-1, : cfg.K] - r.fluxes[0, : cfg.K])
     checks = [

@@ -121,8 +121,7 @@ def _p_eig(basis: PceBasis, h: np.ndarray):
     naming the batch index with the smallest eigenvalue when P(h) is not
     positive definite."""
     Ph = p_operator(basis, h)
-    eig = sym_eig(Ph)
-    pi, Q = eig.values, eig.vectors
+    pi, Q = sym_eig(Ph)
     if np.any(pi <= 0.0):
         flat = np.min(pi, axis=-1).reshape(-1)
         idx = int(np.argmin(flat))
@@ -144,17 +143,11 @@ def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, C
     consistent.  eps = 0 gives the exact solve.
     """
     Ph, pi, Q = _p_eig(basis, state.h)
-    if eps > 0.0:
-        small = pi < eps
-        pi_reg = np.where(
-            small,
-            np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi),
-            pi,
-        )
-        activated = np.any(small, axis=-1)
-    else:
-        pi_reg = pi
-        activated = np.zeros(pi.shape[:-1], dtype=bool)
+    small = pi < eps
+    pi_reg = np.where(
+        small, np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi), pi
+    )
+    activated = np.any(small, axis=-1)
     coeffs = np.einsum("...ji,...j->...i", Q, state.q)  # Q^T q
     u = _mv(Q, coeffs / pi_reg)
     if np.any(activated):
@@ -224,9 +217,8 @@ def symmetrizer_eig(
     D[..., K:, :K] = 0.5 * (Pu - C)
     D[..., K:, K:] = 0.5 * (Pu + C - 2.0 * G)
 
-    deig = sym_eig(D)
-    lam = deig.values
-    L = _normalize_columns(deig.vectors)
+    lam, L = sym_eig(D)
+    L = _normalize_columns(L)
 
     R = np.empty_like(D)
     R[..., :K, :K] = np.eye(K)

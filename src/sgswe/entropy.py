@@ -22,9 +22,9 @@ __all__ = [
 ]
 
 
-def _resolve_u(basis, state, u, eps=0.0):
+def _resolve_u(basis, state, u):
     if u is None:
-        vel, state = velocity(basis, state, eps)
+        vel, state = velocity(basis, state, 0.0)
         u = vel.u
     return u, state
 
@@ -41,10 +41,9 @@ def energy(
     bottom: np.ndarray,
     g: float,
     u: np.ndarray | None = None,
-    eps: float = 0.0,
 ) -> np.ndarray:
     """E = (q.u + g |h|^2)/2 + g h.B."""
-    u, state = _resolve_u(basis, state, u, eps)
+    u, state = _resolve_u(basis, state, u)
     return 0.5 * (_dot(state.q, u) + g * _dot(state.h, state.h)) + g * _dot(
         state.h, bottom
     )

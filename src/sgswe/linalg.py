@@ -7,19 +7,9 @@ Every function accepts stacked operands with shape (..., n, n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["SymEig", "sym_eig"]
-
-
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition A = vectors @ diag(values) @ vectors^T."""
-
-    values: np.ndarray = field(repr=False)  # (..., n), ascending
-    vectors: np.ndarray = field(repr=False)  # (..., n, n), orthogonal
+__all__ = ["sym_eig"]
 
 
 def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -37,7 +27,7 @@ def _symmetrize(A: np.ndarray) -> np.ndarray:
     return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
-def sym_eig(A: np.ndarray) -> SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    values, vectors = np.linalg.eigh(_symmetrize(A))
-    return SymEig(values=values, vectors=vectors)
+def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = vectors @ diag(values) @ vectors^T of a
+    symmetric matrix as (values, vectors), eigenvalues ascending."""
+    return np.linalg.eigh(_symmetrize(A))

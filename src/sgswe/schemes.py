@@ -193,22 +193,21 @@ def semidiscrete_rhs(
     field: Field,
     scheme: SchemeKind,
     g: float,
-    eps: float = 0.0,
     with_diagnostics: bool = False,
     solved: tuple[Velocity, CellState] | None = None,
 ) -> RhsResult:
     """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i.
 
-    The velocity is recovered on the interior cells, then h, u and B get
-    two ghost layers per side following field.ghost_policy.  eps is the
-    velocity desingularization threshold (0 = exact inverse); solved, when
-    given, is velocity(basis, field.state, eps) already computed.  The
+    The velocity is recovered on the interior cells with the grid's
+    desingularization threshold eps = field.dx, then h, u and B get two
+    ghost layers per side following field.ghost_policy.  solved, when given,
+    is velocity(basis, field.state, field.dx) already computed.  The
     well-balanced source has a zero height block and
     S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) over the right
     (+) and left (-) interfaces of the cell.
     """
     nx = field.nx
-    vel, st = velocity(basis, field.state, eps) if solved is None else solved
+    vel, st = velocity(basis, field.state, field.dx) if solved is None else solved
     hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
     k = interface_flux(basis, hp, up, Bp, scheme, g, with_diagnostics)
 

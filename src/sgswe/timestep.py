@@ -28,7 +28,6 @@ __all__ = [
     "StepResult",
     "StepRecord",
     "ssp_rk3_step",
-    "rk3_fixed",
     "integrate",
 ]
 
@@ -65,15 +64,10 @@ def positivity_lambda(
     return float(ratio.min())
 
 
-def cfl_dt(
-    basis: PceBasis, field: Field, g: float, cfl: float, eps: float = 0.0,
-    vel: Velocity | None = None,
-) -> float:
-    """dt = cfl dx / max spectral radius of the flux Jacobian over cells; vel
-    defaults to velocity(basis, field.state, eps)[0].  ssp_rk3_step passes its
-    stage-0 solve, so a desingularized cell's bound uses the stage's u."""
-    if vel is None:
-        vel, _ = velocity(basis, field.state, eps)
+def cfl_dt(basis: PceBasis, field: Field, g: float, cfl: float, vel: Velocity) -> float:
+    """dt = cfl dx / max spectral radius of the flux Jacobian over cells at
+    the velocity vel, velocity(basis, field.state, field.dx)[0]; ssp_rk3_step
+    passes its stage-0 solve."""
     _, lam = symmetrizer_eig(basis, field.h, vel.u, g, vel)
     amax = float(np.max(np.abs(lam)))
     if amax == 0.0:
@@ -153,9 +147,8 @@ def ssp_rk3_step(
     DtUnderflowError once dt falls below 1e-14 t_final, BlowUpError on
     non-finite states, and lets positivity/hyperbolicity errors propagate.
     """
-    eps = field.dx
     _check_finite(field.h, field.q, t)
-    r0 = semidiscrete_rhs(basis, field, scheme, g, eps=eps, solved=solved)
+    r0 = semidiscrete_rhs(basis, field, scheme, g, solved=solved)
     lam0 = positivity_lambda(basis, r0.field.h, r0.fluxes, field.dx)
     dt = min(cfl_dt(basis, r0.field, g, cfl, vel=r0.velocity), 0.9 * lam0)
     cap = (t_final if t_target is None else t_target) - t
@@ -174,31 +167,12 @@ def ssp_rk3_step(
             _check_finite(stage.h, stage.q, t)
             if k == 2:
                 return StepResult(field=stage, t=t + dt, dt=dt, lam=lam0, restarts=restarts)
-            r = semidiscrete_rhs(basis, stage, scheme, g, eps=eps)
+            r = semidiscrete_rhs(basis, stage, scheme, g)
             lam = positivity_lambda(basis, r.field.h, r.fluxes, field.dx)
             if 0.9 * lam < dt:
                 dt = 0.9 * lam
                 restarts += 1
                 break
-
-
-def rk3_fixed(
-    basis: PceBasis,
-    field: Field,
-    scheme: SchemeKind,
-    g: float,
-    dt: float,
-    n_steps: int,
-    eps: float = 0.0,
-) -> Field:
-    """Plain fixed-dt SSP-RK3 without adaptivity, for convergence studies."""
-    for _ in range(n_steps):
-        r0 = r = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
-        for k in range(3):
-            if k:
-                r = semidiscrete_rhs(basis, field, scheme, g, eps=eps)
-            field = _shu_osher_stage(r0, r, dt, k)
-    return field
 
 
 def integrate(
@@ -231,17 +205,15 @@ def integrate(
     restarts_total = 0
     if records is None:
         records = []
-    solved = velocity(basis, field.state, field.dx)
-    records.append(
-        StepRecord(
-            t=0.0,
-            dt=0.0,
-            lam=np.inf,
-            restarts=0,
-            energy=total_energy(basis, field, g, solved),
-            min_node_height=min_node_height(basis, field),
-        )
-    )
+
+    def record(field, t, dt, lam, restarts):
+        """Append field's StepRecord and return its velocity solve."""
+        solved = velocity(basis, field.state, field.dx)
+        e_total = total_energy(basis, field, g, solved)
+        records.append(StepRecord(t, dt, lam, restarts, e_total, min_node_height(basis, field)))
+        return solved
+
+    solved = record(field, 0.0, 0.0, np.inf, 0)
     if on_snapshot is not None and targets and targets[0] <= tol:
         on_snapshot(0.0, field)
     targets = [ts for ts in targets if ts > tol]
@@ -256,17 +228,7 @@ def integrate(
             if on_snapshot is not None and _wants_snapshot(target, snapshot_times, tol):
                 on_snapshot(target, field)
             targets.pop(0)
-        solved = velocity(basis, field.state, field.dx)
-        records.append(
-            StepRecord(
-                t=t,
-                dt=step.dt,
-                lam=step.lam,
-                restarts=restarts_total,
-                energy=total_energy(basis, field, g, solved),
-                min_node_height=min_node_height(basis, field),
-            )
-        )
+        solved = record(field, t, step.dt, step.lam, restarts_total)
     return field, records
 
 

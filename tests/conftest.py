@@ -81,13 +81,11 @@ def spd_solve(A, b):
 
 def spd_sqrt(A):
     """Symmetric positive definite square root G with G @ G = A."""
-    eig = sym_eig(A)
-    if np.any(eig.values <= 0.0):
-        raise NotSPDError(
-            f"matrix is not SPD (min eigenvalue {np.min(eig.values):.6e})"
-        )
-    root = eig.vectors * np.sqrt(eig.values)[..., None, :]
-    return root @ np.swapaxes(eig.vectors, -1, -2)
+    values, vectors = sym_eig(A)
+    if np.any(values <= 0.0):
+        raise NotSPDError(f"matrix is not SPD (min eigenvalue {np.min(values):.6e})")
+    root = vectors * np.sqrt(values)[..., None, :]
+    return root @ np.swapaxes(vectors, -1, -2)
 
 
 def flux_jacobian(basis, state, g):

@@ -82,13 +82,13 @@ def dam_break_es(basis9):
         worst = {"ratio": -np.inf}
 
         def on_snapshot(t, fld, scheme=scheme, worst=worst):
-            r = semidiscrete_rhs(basis9, fld, scheme, GRAV, eps=fld.dx, with_diagnostics=True)
+            r = semidiscrete_rhs(basis9, fld, scheme, GRAV, with_diagnostics=True)
             rate = np.einsum("ik,ik->i", r.entropy_vars, r.rhs)
             div = np.diff(r.energy_flux) / fld.dx
             # local energy scale: cell energy transported at the local wave
             # speed, so still-water cells keep an O(1) denominator instead of
             # dividing roundoff dust by roundoff dust
-            e_cell = energy(basis9, fld.state, fld.bottom, GRAV, eps=fld.dx)
+            e_cell = energy(basis9, r.field.state, fld.bottom, GRAV, u=r.velocity.u)
             c_cell = np.sqrt(GRAV * (fld.h @ basis9.basis_table.T).max(axis=1))
             scale = (
                 np.abs(rate)

@@ -48,8 +48,6 @@ def test_build_basis_defaults():
 def test_build_basis_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         build_basis(0)
-    with pytest.raises(ConfigError):
-        build_basis(5, quad_order=3)  # too few nodes for degree-3K-3 products
 
 
 def test_triple_tensor_first_slice_is_identity(basis4):

@@ -134,6 +134,7 @@ def test_load_config_missing_file(tmp_path):
         {"cfl": math.inf},
         {"snapshot_times": (math.nan,)},
         {"custom": {"w_left": math.inf}},
+        {"experiment": "dam_brake"},
     ],
 )
 def test_validate_config_rejects(patch):
@@ -142,6 +143,23 @@ def test_validate_config_rejects(patch):
         setattr(cfg, key, value)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "patch, fragment",
+    [
+        ({"experiment": "dam_brake"}, "unknown experiment"),
+        ({"g": 0.0}, "g must be positive"),
+        ({"cfl": math.nan}, "cfl must be finite"),
+    ],
+)
+def test_build_experiment_validates_config(patch, fragment):
+    # the library path rejects what load_config would, before any solve
+    cfg = SolverConfig(experiment="dam_break_flat", K=3, nx=16, t_final=0.01)
+    for key, value in patch.items():
+        setattr(cfg, key, value)
+    with pytest.raises(ConfigError, match=fragment):
+        build_experiment(cfg, build_basis(3))
 
 
 def test_dam_break_projection_coefficients():

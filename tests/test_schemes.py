@@ -9,7 +9,7 @@ from sgswe.entropy import energy_flux, energy_potential, entropy_variables
 from sgswe.errors import HyperbolicityError
 from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
 from sgswe.core import physical_flux
-from sgswe.timestep import cfl_dt, integrate
+from sgswe.timestep import integrate
 
 from conftest import random_hyperbolic_state, random_state_batch
 
@@ -210,8 +210,8 @@ def test_hyperbolicity_error_names_interior_cell(basis4, policy):
     fld = _random_field(rng, 12, 4, policy=policy)
     fld.h[5] = [-1.0, 0.0, 0.0, 0.0]
     for call in (
-        lambda: semidiscrete_rhs(basis4, fld, SchemeKind.ES2, 1.0, eps=fld.dx),
-        lambda: cfl_dt(basis4, fld, 1.0, 0.45, eps=fld.dx),
+        lambda: semidiscrete_rhs(basis4, fld, SchemeKind.ES2, 1.0),
+        lambda: velocity(basis4, fld.state, fld.dx),
         lambda: integrate(basis4, fld, SchemeKind.ES2, 1.0, 0.45, 0.01),
     ):
         with pytest.raises(HyperbolicityError) as info:
