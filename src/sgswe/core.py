@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import PceBasis, p_operator
 from .errors import HyperbolicityError
-from .linalg import _mv, sym_eig
+from .linalg import _mtv, _mv, sym_eig
 
 __all__ = [
     "CellState",
@@ -93,16 +93,6 @@ class Field:
     def state(self) -> CellState:
         return CellState(h=self.h, q=self.q)
 
-    def replace(self, h=None, q=None) -> "Field":
-        return Field(
-            h=self.h if h is None else h,
-            q=self.q if q is None else q,
-            bottom=self.bottom,
-            dx=self.dx,
-            x_left=self.x_left,
-            ghost_policy=self.ghost_policy,
-        )
-
 
 def pad_ghosts(arr: np.ndarray, policy: str) -> np.ndarray:
     """Prepend/append two ghost layers along axis 0.
@@ -148,8 +138,7 @@ def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, C
         small, np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi), pi
     )
     activated = np.any(small, axis=-1)
-    coeffs = np.einsum("...ji,...j->...i", Q, state.q)  # Q^T q
-    u = _mv(Q, coeffs / pi_reg)
+    u = _mv(Q, _mtv(Q, state.q) / pi_reg)
     if np.any(activated):
         q_new = np.where(activated[..., None], _mv(Ph, u), state.q)
     else:

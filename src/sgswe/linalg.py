@@ -17,6 +17,11 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", A, x)
 
 
+def _mtv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batched transposed product A^T x for (..., n, n) and (..., n)."""
+    return np.einsum("...ji,...j->...i", A, x)
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched inner product over the trailing axis."""
     return np.sum(a * b, axis=-1)

@@ -13,7 +13,7 @@ semidiscrete_rhs runs it on the ghost-padded grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .basis import PceBasis, p_operator
 from .core import CellState, Field, Velocity, pad_ghosts, symmetrizer_eig, velocity
 from .entropy import _entropy_vars
-from .linalg import _dot, _mv
+from .linalg import _dot, _mtv, _mv
 
 __all__ = [
     "SchemeKind",
@@ -53,11 +53,6 @@ class SchemeKind(str, Enum):
 def minmod_phi(theta: np.ndarray) -> np.ndarray:
     """Minmod limiter phi(theta) = clip(theta, 0, 1)."""
     return np.clip(theta, 0.0, 1.0)
-
-
-def _mtv(A, x):
-    """A^T x, batched."""
-    return np.einsum("...ji,...j->...i", A, x)
 
 
 def _es2_pi(wj_prev, wj_mid, wj_next, w_left, w_right):
@@ -229,7 +224,7 @@ def semidiscrete_rhs(
     return RhsResult(
         rhs=rhs,
         fluxes=fluxes,
-        field=field.replace(q=st.q),
+        field=replace(field, q=st.q),
         velocity=vel,
         **diagnostics,
     )

@@ -9,7 +9,7 @@ flight, the whole step restarts from the accepted state with dt shrunk to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,7 +125,7 @@ def _shu_osher_stage(r0: RhsResult, r: RhsResult, dt: float, k: int) -> Field:
         h, q = 0.75 * r0.field.h + 0.25 * h, 0.75 * r0.field.q + 0.25 * q
     elif k == 2:
         h, q = r0.field.h / 3.0 + (2.0 / 3.0) * h, r0.field.q / 3.0 + (2.0 / 3.0) * q
-    return r.field.replace(h=h, q=q)
+    return replace(r.field, h=h, q=q)
 
 
 def ssp_rk3_step(
@@ -198,7 +198,8 @@ def integrate(
     for ts in snapshot_times:
         if ts < 0.0 or ts > t_final:
             raise ValueError(f"snapshot time {ts} outside [0, {t_final}]")
-    targets = sorted(set(float(ts) for ts in snapshot_times) | {float(t_final)})
+    wanted = set(float(ts) for ts in snapshot_times)
+    targets = sorted(wanted | {float(t_final)})
     tol = 1e-12 * max(1.0, t_final)
 
     t = 0.0
@@ -225,12 +226,8 @@ def integrate(
         restarts_total += step.restarts
         if t >= target - tol:
             t = target
-            if on_snapshot is not None and _wants_snapshot(target, snapshot_times, tol):
+            if on_snapshot is not None and target in wanted:
                 on_snapshot(target, field)
             targets.pop(0)
         solved = record(field, t, step.dt, step.lam, restarts_total)
     return field, records
-
-
-def _wants_snapshot(target: float, snapshot_times, tol: float) -> bool:
-    return any(abs(target - float(ts)) <= tol for ts in snapshot_times)

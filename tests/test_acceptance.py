@@ -5,6 +5,7 @@ prints `CRITERION n: PASS/FAIL` with the measured numbers, then asserts.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def test_criterion_04_well_balanced(basis9):
     base = build_experiment(cfg, basis9)
     w_const = np.zeros(9)
     w_const[0] = 2.0
-    field0 = base.replace(h=w_const[None, :] - base.bottom, q=np.zeros_like(base.q))
+    field0 = replace(base, h=w_const[None, :] - base.bottom, q=np.zeros_like(base.q))
 
     parts = []
     for scheme in (SchemeKind.EC, SchemeKind.ES1, SchemeKind.ES2):

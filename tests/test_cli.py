@@ -59,6 +59,16 @@ def test_load_config_stochastic_bottom_snapshot_defaults(tmp_path):
     assert short.snapshot_times == (0.05,)
 
 
+def test_hand_built_config_takes_preset_defaults():
+    cfg = SolverConfig(experiment="stochastic_bottom")
+    assert cfg.t_final == 0.8
+    assert cfg.snapshot_times == (0.0995, 0.8)
+    assert SolverConfig(experiment="stochastic_bottom", t_final=0.05).snapshot_times == (0.05,)
+    assert SolverConfig(experiment="dam_break_flat").snapshot_times == (0.4,)
+    with pytest.raises(ConfigError, match="unknown experiment"):
+        SolverConfig(experiment="dam_brake")
+
+
 def test_load_config_overrides_and_comments(tmp_path):
     text = """
     # comment line
@@ -143,6 +153,23 @@ def test_validate_config_rejects(patch):
         setattr(cfg, key, value)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_validate_config_rejects_colliding_snapshot_names(tmp_path):
+    # both times would be written to snapshot_t0.1.csv
+    cfg = SolverConfig(
+        experiment="dam_break_flat", t_final=0.2, snapshot_times=(0.1000001, 0.1000004, 0.2)
+    )
+    with pytest.raises(ConfigError, match="snapshot_t0.1.csv"):
+        validate_config(cfg)
+    path = write_cfg(
+        tmp_path,
+        "experiment = dam_break_flat\nt_final = 0.2\nsnapshot_times = 0.1000001, 0.1000004, 0.2\n",
+    )
+    with pytest.raises(ConfigError, match="share"):
+        load_config(path)
+    # a repeated time is one snapshot, not a collision
+    validate_config(SolverConfig(experiment="dam_break_flat", snapshot_times=(0.1, 0.1, 0.4)))
 
 
 @pytest.mark.parametrize(
@@ -305,6 +332,24 @@ def test_main_run_and_overrides(tmp_path):
     assert len(rows) == 24
 
 
+def test_library_run_matches_cli_run(tmp_path):
+    # a hand-built config takes the preset's snapshot times, as the file does
+    lib, cli = tmp_path / "lib", tmp_path / "cli"
+    cfg = SolverConfig(
+        experiment="stochastic_bottom", K=3, nx=40, t_final=0.12, output_dir=str(lib)
+    )
+    assert run(cfg) == 0
+    path = write_cfg(
+        tmp_path, "experiment = stochastic_bottom\nK = 3\nnx = 40\nt_final = 0.12\n"
+    )
+    assert main(["run", "--config", str(path), "--out", str(cli)]) == 0
+    names = sorted(p.name for p in lib.iterdir())
+    assert names == ["energy.csv", "snapshot_t0.0995.csv", "snapshot_t0.12.csv"]
+    assert sorted(p.name for p in cli.iterdir()) == names
+    for name in names:
+        assert (lib / name).read_bytes() == (cli / name).read_bytes()
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, "experiment = dam_break_flat\nnx = 4\n")
     assert main(["run", "--config", str(bad)]) == 2
@@ -366,8 +411,21 @@ def test_main_check_mode(tmp_path, capsys):
     )
     assert main(["run", "--config", str(path), "--check"]) == 0
     out = capsys.readouterr().out
-    assert out.count("check:") == 2
+    assert out.count("check:") == 1
     assert "FAIL" not in out
+
+
+def test_main_check_mode_accepts_large_fluxes(tmp_path, capsys):
+    # large heights and discharges: the fluxes' rounding alone is far above
+    # any fixed absolute tolerance, and the config runs fine
+    path = write_cfg(
+        tmp_path,
+        "experiment = custom\nscheme = es2\nK = 5\nnx = 400\n"
+        "w_left = 2e6\nw_right = 1e6\nq_left = 3e5\nq_right = 7e5\n"
+        f"output_dir = {tmp_path / 'o'}\n",
+    )
+    assert main(["run", "--config", str(path), "--check"]) == 0
+    assert capsys.readouterr().out == "check: rhs finite: ok (0.000e+00 vs 5e-01)\n"
 
 
 def test_run_checks_direct():
