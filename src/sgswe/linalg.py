@@ -3,13 +3,55 @@
 All inputs are symmetrized as (A + A^T)/2 before factorization so that
 accumulated rounding in assembled P(.) products cannot trip the solver.
 Every function accepts stacked operands with shape (..., n, n).
+
+A large batch is split into contiguous chunks, one per CPU of the process's
+affinity mask: the calling thread solves the first chunk and a thread pool
+the others.  LAPACK factorizes each matrix on its own, so the results are
+bitwise equal to one serial call.  Limit the CPUs with the affinity mask
+(``taskset``).
 """
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 __all__ = ["sym_eig"]
+
+# Fewest matrix entries a chunk holds.  A solve costs about 0.12 us per
+# entry for n >= 2 and a hand-off to the pool about 60 us (2-vCPU x86 host,
+# OpenBLAS 0.3.31), so a smaller chunk gains too little to pay for it.
+_MIN_CHUNK = 2048
+_WIDTH = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The solver thread pool, created on first use so that importing
+    sgswe starts no thread.  concurrent.futures is imported here too: it
+    adds about 5 ms to every process start."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, _WIDTH - 1), thread_name_prefix="sgswe-eigh")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child has none of the parent's pool threads; work queued on
+    the inherited pool would wait forever, so the child starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -35,4 +77,19 @@ def _symmetrize(A: np.ndarray) -> np.ndarray:
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = vectors @ diag(values) @ vectors^T of a
     symmetric matrix as (values, vectors), eigenvalues ascending."""
-    return np.linalg.eigh(_symmetrize(A))
+    S = _symmetrize(A)
+    chunks = min(_WIDTH, S.size // _MIN_CHUNK)
+    if chunks < 2:
+        return np.linalg.eigh(S)
+    first, *rest = np.array_split(S.reshape((-1,) + S.shape[-2:]), chunks)
+    pool = _executor()
+    futures = [pool.submit(np.linalg.eigh, part) for part in rest]
+    try:
+        solved = [np.linalg.eigh(first)]
+    finally:
+        for f in futures:
+            f.exception()  # waits, so no chunk is still running when an error propagates
+    solved += [f.result() for f in futures]
+    values = np.concatenate([w for w, _ in solved]).reshape(S.shape[:-1])
+    vectors = np.concatenate([v for _, v in solved]).reshape(S.shape)
+    return values, vectors

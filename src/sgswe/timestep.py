@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import PceBasis
-from .core import CellState, Field, Velocity, symmetrizer_eig, velocity
+from .core import CellState, Field, Velocity, _symmetrizer_matrix, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, PositivityError
+from .linalg import sym_eig
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
 __all__ = [
@@ -67,8 +68,9 @@ def positivity_lambda(
 def cfl_dt(basis: PceBasis, field: Field, g: float, cfl: float, vel: Velocity) -> float:
     """dt = cfl dx / max spectral radius of the flux Jacobian over cells at
     the velocity vel, velocity(basis, field.state, field.dx)[0]; ssp_rk3_step
-    passes its stage-0 solve."""
-    _, lam = symmetrizer_eig(basis, field.h, vel.u, g, vel)
+    passes its stage-0 solve.  Only the eigenvalues of symmetrizer_eig's
+    matrix are used, so its eigenvectors are not assembled."""
+    lam, _ = sym_eig(_symmetrizer_matrix(basis, field.h, vel.u, g, vel)[0])
     amax = float(np.max(np.abs(lam)))
     if amax == 0.0:
         return np.inf

@@ -1,9 +1,15 @@
 """Batched symmetric eigen/SPD helpers."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from sgswe.linalg import sym_eig
+import sgswe.linalg
+from sgswe.linalg import _MIN_CHUNK, sym_eig
 
 from conftest import NotSPDError, spd_solve, spd_sqrt
 
@@ -63,3 +69,109 @@ def test_spd_solve_matrix_rhs():
 def test_spd_solve_rejects_indefinite():
     with pytest.raises(NotSPDError):
         spd_solve(np.diag([1.0, -1.0]), np.ones(2))
+
+
+def _fill(n):
+    """Fewest n x n matrices that fill one chunk."""
+    return -(-_MIN_CHUNK // (n * n))
+
+
+class _CountingPool:
+    """Stands in for the solver pool and records the size of each chunk
+    handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.sizes = pool, []
+
+    def submit(self, fn, part):
+        self.sizes.append(len(part))
+        return self.pool.submit(fn, part)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    counting = _CountingPool(sgswe.linalg._executor())
+    monkeypatch.setattr(sgswe.linalg, "_executor", lambda: counting)
+    return counting
+
+
+def _serial(A):
+    return np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+
+
+def _assert_bitwise(A):
+    (w, v), (ws, vs) = sym_eig(A), _serial(A)
+    assert w.shape == ws.shape and v.shape == vs.shape
+    assert w.tobytes() == ws.tobytes() and v.tobytes() == vs.tobytes()
+
+
+_M8 = _fill(8)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("batch", [_M8, 2 * _M8 - 1, 2 * _M8, 2 * _M8 + 1, 7 * _M8 + 3])
+def test_chunked_sym_eig_is_bitwise(monkeypatch, pool, width, batch):
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", width)
+    _assert_bitwise(np.random.default_rng(batch).standard_normal((batch, 8, 8)))
+    chunks = min(width, batch // _M8)
+    assert len(pool.sizes) == (chunks - 1 if chunks > 1 else 0)
+    assert all(size >= _M8 for size in pool.sizes)
+
+
+@pytest.mark.parametrize("K", [1, 5, 9, 18])
+def test_chunked_sym_eig_is_bitwise_per_size(monkeypatch, pool, K):
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
+    rng = np.random.default_rng(K)
+    n = 2 * _fill(K) + 7
+    _assert_bitwise(rng.standard_normal((n, K, K)))
+    _assert_bitwise(rng.standard_normal((n, 2, K, K)))
+    _assert_bitwise(np.swapaxes(rng.standard_normal((2, n, K, K)), 0, 1))
+    _assert_bitwise(rng.standard_normal((K, K)))
+    assert len(pool.sizes) == 3
+
+
+def test_chunked_sym_eig_raises_like_serial(monkeypatch, pool):
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 3)
+    A = np.tile(np.eye(5), (3 * _fill(5), 1, 1))
+    A[-1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as serial:
+        _serial(A)
+    with pytest.raises(np.linalg.LinAlgError) as chunked:
+        sym_eig(A)
+    assert str(chunked.value) == str(serial.value)
+    assert len(pool.sizes) == 2
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
+    rng = np.random.default_rng(7)
+    batches = [rng.standard_normal((3 * _fill(6), 6, 6)) for _ in range(4)]
+    expected = [_serial(A) for A in batches]
+    mismatches = []
+
+    def solve(i):
+        for _ in range(10):
+            w, v = sym_eig(batches[i])
+            if w.tobytes() != expected[i][0].tobytes() or v.tobytes() != expected[i][1].tobytes():
+                mismatches.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
+def test_import_starts_no_thread():
+    code = "import threading, sgswe; print(threading.active_count())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "1"

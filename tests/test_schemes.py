@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import sgswe.linalg
 from sgswe.basis import p_operator
-from sgswe.core import CellState, Field, pad_ghosts, symmetrizer_eig, velocity
+from sgswe.core import CellState, Field, _p_eig, pad_ghosts, symmetrizer_eig, velocity
 from sgswe.entropy import energy_flux, energy_potential, entropy_variables
 from sgswe.errors import HyperbolicityError
 from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
@@ -217,6 +218,22 @@ def test_hyperbolicity_error_names_interior_cell(basis4, policy):
         with pytest.raises(HyperbolicityError) as info:
             call()
         assert info.value.cell == 5
+
+
+def test_hyperbolicity_error_index_from_last_chunk(basis4, monkeypatch):
+    # with the batch split across threads, the error still names the global
+    # batch index and the interior cell: chunk order is kept
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 3)
+    nx = 5 * sgswe.linalg._MIN_CHUNK // 16 + 1  # five chunks' worth of 4x4 solves
+    fld = _random_field(np.random.default_rng(16), nx, 4)
+    fld.h[nx - 2] = [-1.0, 0.0, 0.0, 0.0]
+    for call in (
+        lambda: _p_eig(basis4, fld.h),
+        lambda: semidiscrete_rhs(basis4, fld, SchemeKind.ES2, 1.0),
+    ):
+        with pytest.raises(HyperbolicityError) as info:
+            call()
+        assert info.value.cell == nx - 2
 
 
 def test_conservation_telescopes(basis4):

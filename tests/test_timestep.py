@@ -1,9 +1,12 @@
 """Positivity bound, CFL step, adaptive SSP-RK3 and the driver."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import sgswe.core
+import sgswe.linalg
 import sgswe.timestep
 from sgswe.basis import build_basis
 from sgswe.core import Field, symmetrizer_eig, velocity
@@ -222,16 +225,17 @@ def test_near_dry_run_restarts_and_stays_positive():
 def test_eigensolves_per_accepted_step(monkeypatch, scheme, k_per_step, k2_per_step):
     # one velocity solve per accepted state: 1 + 3n K x K for ec; es2 adds
     # one P(h_bar) solve per stage.  The 2K x 2K symmetrizer runs once per
-    # stage for es2 and once per step (CFL bound) for both.
+    # stage for es2 and once per step (CFL bound, solved in cfl_dt) for both.
     basis = build_basis(3)
     calls = {3: 0, 6: 0}
-    sym_eig = sgswe.core.sym_eig
+    sym_eig = sgswe.linalg.sym_eig
 
     def counted(A):
         calls[A.shape[-1]] += 1
         return sym_eig(A)
 
-    monkeypatch.setattr(sgswe.core, "sym_eig", counted)
+    for module in (sgswe.core, sgswe.timestep):
+        monkeypatch.setattr(module, "sym_eig", counted)
     _, records = integrate(basis, _dam_break_field(basis, 40), SchemeKind(scheme),
                            1.0, 0.45, 0.05)
     n = len(records) - 1
@@ -281,3 +285,39 @@ def test_step_with_passed_solve_is_bitwise(scheme, make_field):
     b = ssp_rk3_step(basis, fld, scheme, 1.0, 0.45, 0.0, 1.0, solved=solved)
     assert (a.t, a.dt, a.lam, a.restarts) == (b.t, b.dt, b.lam, b.restarts)
     assert np.array_equal(a.field.h, b.field.h) and np.array_equal(a.field.q, b.field.q)
+
+
+def test_integrate_es2_chunked_eigensolves_bitwise(monkeypatch):
+    # es2 amplifies one ulp of dt into ~1e-3 in h, so this fails unless every
+    # chunked eigensolve is bitwise equal to the serial one.
+    basis = build_basis(3)
+    nx = 2 * sgswe.linalg._MIN_CHUNK // 9 + 1  # two chunks of 3x3 solves
+    runs = []
+    for width in (1, 2):
+        monkeypatch.setattr(sgswe.linalg, "_WIDTH", width)
+        runs.append(integrate(basis, _dam_break_field(basis, nx), SchemeKind.ES2,
+                              1.0, 0.45, 0.01))
+    (serial, serial_records), (chunked, chunked_records) = runs
+    assert len(serial_records) > 3
+    assert chunked_records == serial_records
+    assert np.array_equal(chunked.h, serial.h) and np.array_equal(chunked.q, serial.q)
+
+
+def _chunked_sym_eig_child():
+    A = np.tile(np.eye(4), (2 * sgswe.linalg._MIN_CHUNK // 16, 1, 1))
+    values, _ = sgswe.linalg.sym_eig(A)
+    raise SystemExit(0 if np.all(values == 1.0) else 1)
+
+
+def test_forked_child_runs_chunked_sym_eig(monkeypatch):
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
+    A = np.tile(np.eye(4), (2 * sgswe.linalg._MIN_CHUNK // 16, 1, 1))
+    sgswe.linalg.sym_eig(A)  # the pool now has a live thread
+    child = multiprocessing.get_context("fork").Process(target=_chunked_sym_eig_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("forked child hung in a chunked sym_eig")
+    assert child.exitcode == 0
