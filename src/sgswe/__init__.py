@@ -7,17 +7,11 @@ from .core import (
     CellState,
     Field,
     Velocity,
-    physical_flux,
     project_bottom,
     symmetrizer_eig,
     velocity,
 )
-from .entropy import (
-    energy,
-    energy_flux,
-    energy_potential,
-    entropy_variables,
-)
+from .entropy import energy
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -51,13 +45,9 @@ __all__ = [
     "Field",
     "Velocity",
     "velocity",
-    "physical_flux",
     "symmetrizer_eig",
     "project_bottom",
     "energy",
-    "energy_flux",
-    "entropy_variables",
-    "energy_potential",
     "SchemeKind",
     "interface_flux",
     "semidiscrete_rhs",

@@ -62,10 +62,6 @@ class PceBasis:
     basis_table: np.ndarray = field(repr=False)
     triple_tensor: np.ndarray = field(repr=False)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.quad_nodes.size
-
 
 def build_basis(K: int) -> PceBasis:
     """Build the orthonormal Legendre PCE basis of dimension K.

@@ -22,7 +22,6 @@ __all__ = [
     "Velocity",
     "Field",
     "velocity",
-    "physical_flux",
     "symmetrizer_eig",
     "project_bottom",
     "pad_ghosts",
@@ -146,21 +145,6 @@ def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, C
     return Velocity(u, activated, Ph, pi, Q), CellState(h=state.h, q=q_new)
 
 
-def physical_flux(
-    basis: PceBasis, state: CellState, g: float, u: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact flux F(U) = (q; P(q) u + (g/2) P(h) h), shape (..., 2K).
-
-    u defaults to the exact velocity of the state.
-    """
-    if u is None:
-        u = velocity(basis, state, 0.0)[0].u
-    Fq = _mv(p_operator(basis, state.q), u) + 0.5 * g * _mv(
-        p_operator(basis, state.h), state.h
-    )
-    return np.concatenate([state.q, Fq], axis=-1)
-
-
 def _normalize_columns(L: np.ndarray) -> np.ndarray:
     """Flip eigenvector column signs so the largest-|entry| component is > 0.
 
@@ -202,7 +186,7 @@ def _symmetrizer_matrix(
 
 
 def symmetrizer_eig(
-    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float, vel: Velocity | None = None
+    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of the flux Jacobian at the intermediate state
     (h_bar, P(h_bar) u_bar), returned as (T, Lambda) with J = T Lambda T^{-1}.
@@ -211,10 +195,9 @@ def symmetrizer_eig(
     assembled from G, P(u) and g G^{-1} P(q) G^{-1} is diagonalized as
     D = L Lambda L^T, and T = R L with R the scaled eigenvector matrix
     (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
-    positive semi-definite Roe-type diffusion operator.  vel, from
-    velocity() on a state of height h_bar, supplies the P(h_bar) eigenpairs.
+    positive semi-definite Roe-type diffusion operator.
     """
-    D, Pu, G = _symmetrizer_matrix(basis, h_bar, u_bar, g, vel)
+    D, Pu, G = _symmetrizer_matrix(basis, h_bar, u_bar, g, None)
     K = basis.K
     lam, L = sym_eig(D)
     L = _normalize_columns(L)
@@ -232,13 +215,12 @@ def project_bottom(B, basis: PceBasis, x_centers: np.ndarray) -> np.ndarray:
     """Project B(x, xi) onto the basis at each cell midpoint.
 
     Coefficients are (B_i)_k = sum_m w_m phi_k(xi_m) B(x_i, xi_m), shape
-    (nx, K).  B must be evaluable on broadcast (x, xi) arrays or pointwise.
+    (nx, K).  B is called once, on the (nx, 1) cell midpoints and the
+    (1, n) quadrature nodes, so it must broadcast over (x, xi) like a numpy
+    ufunc.
     """
     x_centers = np.asarray(x_centers, dtype=float)
     xi = basis.quad_nodes
-    try:
-        vals = np.asarray(B(x_centers[:, None], xi[None, :]), dtype=float)
-        vals = np.broadcast_to(vals, (x_centers.size, xi.size))
-    except Exception:
-        vals = np.array([[float(B(x, s)) for s in xi] for x in x_centers])
+    vals = np.asarray(B(x_centers[:, None], xi[None, :]), dtype=float)
+    vals = np.broadcast_to(vals, (x_centers.size, xi.size))
     return vals @ (basis.quad_weights[:, None] * basis.basis_table)

@@ -83,7 +83,7 @@ def total_energy(
     """dx-weighted sum of cell energies from solved, which defaults to
     velocity(basis, field.state, field.dx) (eps = dx)."""
     vel, st = velocity(basis, field.state, field.dx) if solved is None else solved
-    e = energy(basis, st, field.bottom, g, u=vel.u)
+    e = energy(st, field.bottom, g, vel.u)
     return field.dx * float(np.sum(e))
 
 

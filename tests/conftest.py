@@ -5,6 +5,7 @@ import pytest
 
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import CellState, velocity
+from sgswe.entropy import energy
 from sgswe.linalg import sym_eig
 
 
@@ -50,8 +51,11 @@ def random_state_batch(rng, n, K, h_mean=1.5, spread=0.1, q_scale=0.3):
     return CellState(h=_cap_fluctuations(h), q=q)
 
 
-# Test-only oracles: SPD helpers, the flux Jacobian and the energy Hessian.
-# The solver needs none of them; the tests check its eigen-path against them.
+# Test-only oracles: SPD helpers, the state-level physical flux and energy
+# pair, the flux Jacobian and the energy Hessian.  The solver needs none of
+# them; the tests check its eigen-path and its interface fluxes against them.
+# Each takes the exact velocity (eps = 0) and is written from the formula, not
+# from the solver's helpers.
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -88,6 +92,43 @@ def spd_sqrt(A):
     return root @ np.swapaxes(vectors, -1, -2)
 
 
+def exact_u(basis, state):
+    """Velocity from the exact inverse of P(h), u = P(h)^{-1} q."""
+    return velocity(basis, state, 0.0)[0].u
+
+
+def physical_flux(basis, state, g):
+    """Exact flux F(U) = (q; P(q) u + (g/2) P(h) h), shape (..., 2K)."""
+    u = exact_u(basis, state)
+    Fq = _mv(p_operator(basis, state.q), u) + 0.5 * g * _mv(p_operator(basis, state.h), state.h)
+    return np.concatenate([state.q, Fq], axis=-1)
+
+
+def entropy_variables(basis, state, bottom, g):
+    """V = dE/dU = (-P(u)u/2 + g(h + B); u), shape (..., 2K)."""
+    u = exact_u(basis, state)
+    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * (state.h + bottom)
+    return np.concatenate([V1, u], axis=-1)
+
+
+def energy_flux(basis, state, bottom, g):
+    """H = u^T P(q) u / 2 + g q.h + g q.B, the flux paired with E."""
+    u = exact_u(basis, state)
+    kinetic = 0.5 * np.sum(u * _mv(p_operator(basis, state.q), u), axis=-1)
+    return kinetic + g * np.sum(state.q * (state.h + bottom), axis=-1)
+
+
+def energy_potential(basis, state, g):
+    """Psi = V.F - H = (g/2) u^T P(h) h; the bottom drops out."""
+    u = exact_u(basis, state)
+    return 0.5 * g * np.sum(u * _mv(p_operator(basis, state.h), state.h), axis=-1)
+
+
+def state_energy(basis, state, bottom, g):
+    """sgswe.entropy.energy at the exact velocity of state."""
+    return energy(state, bottom, g, exact_u(basis, state))
+
+
 def flux_jacobian(basis, state, g):
     """Flux Jacobian dF/dU in K x K blocks:
 
@@ -118,7 +159,7 @@ def hessian_quadform(basis, state, g, w1, w2, u=None):
     convex there.
     """
     if u is None:
-        u = velocity(basis, state, 0.0)[0].u
+        u = exact_u(basis, state)
     r = _mv(p_operator(basis, u), w1) - w2
     x = spd_solve(p_operator(basis, state.h), r)
     return g * np.sum(w1 * w1, axis=-1) + np.sum(r * x, axis=-1)

@@ -15,8 +15,6 @@ from sgswe import (
     SolverConfig,
     build_basis,
     build_experiment,
-    energy_potential,
-    entropy_variables,
     integrate,
     interface_flux,
     p_operator,
@@ -26,16 +24,21 @@ from sgswe import (
     velocity,
 )
 from sgswe.cli import main
-from sgswe.core import CellState, Field, physical_flux, project_bottom
-from sgswe.entropy import energy, energy_flux
+from sgswe.core import CellState, Field, project_bottom
+from sgswe.entropy import energy
 from sgswe.errors import DtUnderflowError
 
 from conftest import (
+    energy_flux,
+    energy_potential,
+    entropy_variables,
     flux_jacobian,
     hessian_quadform,
+    physical_flux,
     random_hyperbolic_state,
     random_state_batch,
     spd_sqrt,
+    state_energy,
 )
 
 GRAV = 1.0
@@ -89,7 +92,7 @@ def dam_break_es(basis9):
             # local energy scale: cell energy transported at the local wave
             # speed, so still-water cells keep an O(1) denominator instead of
             # dividing roundoff dust by roundoff dust
-            e_cell = energy(basis9, r.field.state, fld.bottom, GRAV, u=r.velocity.u)
+            e_cell = energy(r.field.state, fld.bottom, GRAV, r.velocity.u)
             c_cell = np.sqrt(GRAV * (fld.h @ basis9.basis_table.T).max(axis=1))
             scale = (
                 np.abs(rate)
@@ -152,7 +155,7 @@ def test_criterion_02_entropy_calculus(basis9):
         U = np.concatenate([st.h, st.q])
 
         def E_of(U_):
-            return float(energy(basis9, CellState(U_[:K], U_[K:]), B, GRAV))
+            return float(state_energy(basis9, CellState(U_[:K], U_[K:]), B, GRAV))
 
         V = entropy_variables(basis9, st, B, GRAV)
         fd = np.empty(2 * K)
@@ -170,7 +173,7 @@ def test_criterion_02_entropy_calculus(basis9):
         w = np.concatenate([w1, w2])
 
         def E1_of(U_):
-            return float(energy(basis9, CellState(U_[:K], U_[K:]), zero, GRAV))
+            return float(state_energy(basis9, CellState(U_[:K], U_[K:]), zero, GRAV))
 
         fd2 = (E1_of(U + 1e-4 * w) - 2.0 * E1_of(U) + E1_of(U - 1e-4 * w)) / 1e-8
         worst_hess = max(worst_hess, abs(quad - fd2) / abs(quad))
@@ -399,10 +402,9 @@ def test_criterion_09_positivity(basis9, dam_break_ec, dam_break_es):
     parts.append(("lake_at_rest_perturbation", min_53 > 0.0, f"min node h {min_53:.2e}"))
 
     cfg = SolverConfig(
-        experiment="custom", K=5, nx=100, x_left=-0.5, x_right=0.5, t_final=0.05
+        experiment="custom", K=5, nx=100, x_left=-0.5, x_right=0.5, t_final=0.05,
+        custom={"w_left": 1.0, "w_right": 3e-3},
     )
-    cfg.custom["w_left"] = 1.0
-    cfg.custom["w_right"] = 3e-3
     basis5 = build_basis(5)
     _, recs = integrate(
         basis5, build_experiment(cfg, basis5), SchemeKind.ES2, GRAV, 0.45, 0.05

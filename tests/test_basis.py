@@ -40,7 +40,7 @@ def test_orthonormal_under_independent_quadrature():
 def test_build_basis_defaults():
     basis = build_basis(5)
     assert basis.K == 5
-    assert basis.n_nodes == 10
+    assert basis.quad_nodes.size == 10
     assert basis.quad_weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.all(np.diff(basis.quad_nodes) > 0)
 

@@ -10,14 +10,13 @@ from sgswe.core import (
     CellState,
     Field,
     pad_ghosts,
-    physical_flux,
     project_bottom,
     symmetrizer_eig,
     velocity,
 )
 from sgswe.errors import HyperbolicityError
 
-from conftest import flux_jacobian, random_hyperbolic_state, random_state_batch
+from conftest import flux_jacobian, physical_flux, random_hyperbolic_state, random_state_batch
 
 
 def test_velocity_exact_inverse(basis9):
@@ -145,16 +144,6 @@ def test_project_bottom_exact_for_polynomial(basis4):
     assert np.max(np.abs(coeffs[:, 0] - (2.0 + 0.5 * x))) <= 1e-14
     assert np.max(np.abs(coeffs[:, 1] - 0.3 / np.sqrt(3.0))) <= 1e-14
     assert np.max(np.abs(coeffs[:, 2:])) <= 1e-14
-
-
-def test_project_bottom_scalar_fallback(basis4):
-    x = np.linspace(0.0, 1.0, 5)
-
-    def scalar_only(xx, xi):
-        return 1.0 + math.sin(xx) * 0.1 + 0.2 * xi  # math.sin rejects arrays
-
-    vec = project_bottom(lambda xx, xi: 1.0 + np.sin(xx) * 0.1 + 0.2 * xi, basis4, x)
-    assert np.max(np.abs(project_bottom(scalar_only, basis4, x) - vec)) <= 1e-14
 
 
 def test_field_validation():

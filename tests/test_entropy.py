@@ -1,18 +1,22 @@
-"""Energy pair, entropic variables, Hessian quadratic form."""
+"""Energy, and the test oracles for the energy pair, entropic variables and
+Hessian quadratic form that the interface-flux tests rely on."""
 
 import numpy as np
 import pytest
 
 from sgswe.basis import p_operator
-from sgswe.core import CellState, physical_flux, velocity
-from sgswe.entropy import (
-    energy,
+from sgswe.core import CellState, velocity
+
+from conftest import (
     energy_flux,
     energy_potential,
     entropy_variables,
+    flux_jacobian,
+    hessian_quadform,
+    physical_flux,
+    random_hyperbolic_state,
+    state_energy,
 )
-
-from conftest import flux_jacobian, hessian_quadform, random_hyperbolic_state
 
 
 def _fd_gradient(fun, U, delta=1e-6):
@@ -34,7 +38,7 @@ def test_entropy_variables_are_energy_gradient(basis9):
         B = 0.1 * rng.standard_normal(K)
 
         def E_of(U):
-            return float(energy(basis9, CellState(U[:K], U[K:]), B, g))
+            return float(state_energy(basis9, CellState(U[:K], U[K:]), B, g))
 
         U = np.concatenate([st.h, st.q])
         V = entropy_variables(basis9, st, B, g)
@@ -56,7 +60,7 @@ def test_hessian_quadform_matches_fd(basis9):
     zero = np.zeros(K)
 
     def E_of(U_):
-        return float(energy(basis9, CellState(U_[:K], U_[K:]), zero, g))
+        return float(state_energy(basis9, CellState(U_[:K], U_[K:]), zero, g))
 
     fd = (E_of(U + delta * w) - 2.0 * E_of(U) + E_of(U - delta * w)) / delta**2
     assert quad == pytest.approx(fd, rel=1e-4)
@@ -115,7 +119,7 @@ def test_flat_variants_drop_bottom_terms(basis4):
     B = 0.3 * rng.standard_normal(4)
     g = 1.0
     zero = np.zeros(4)
-    dE = float(energy(basis4, st, B, g) - energy(basis4, st, zero, g))
+    dE = float(state_energy(basis4, st, B, g) - state_energy(basis4, st, zero, g))
     assert dE == pytest.approx(g * float(st.h @ B), rel=1e-14)
     dV = entropy_variables(basis4, st, B, g) - entropy_variables(basis4, st, zero, g)
     assert np.max(np.abs(dV[:4] - g * B)) <= 1e-14
@@ -128,8 +132,8 @@ def test_energy_batched(basis4):
     q = 0.1 * rng.standard_normal((5, 4))
     B = 0.1 * rng.standard_normal((5, 4))
     st = CellState(h, q)
-    E = energy(basis4, st, B, 1.0)
+    E = state_energy(basis4, st, B, 1.0)
     assert E.shape == (5,)
     for i in range(5):
-        Ei = energy(basis4, CellState(h[i], q[i]), B[i], 1.0)
+        Ei = state_energy(basis4, CellState(h[i], q[i]), B[i], 1.0)
         assert float(E[i]) == pytest.approx(float(Ei), rel=1e-13)

@@ -6,13 +6,18 @@ import pytest
 import sgswe.linalg
 from sgswe.basis import p_operator
 from sgswe.core import CellState, Field, _p_eig, pad_ghosts, symmetrizer_eig, velocity
-from sgswe.entropy import energy_flux, energy_potential, entropy_variables
 from sgswe.errors import HyperbolicityError
 from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
-from sgswe.core import physical_flux
 from sgswe.timestep import integrate
 
-from conftest import random_hyperbolic_state, random_state_batch
+from conftest import (
+    energy_flux,
+    energy_potential,
+    entropy_variables,
+    physical_flux,
+    random_hyperbolic_state,
+    random_state_batch,
+)
 
 
 def _random_field(rng, nx, K, policy="outflow", bottom_scale=0.1):

@@ -205,7 +205,7 @@ def test_total_energy_matches_hand_sum():
     from sgswe.entropy import energy
 
     vel, st = velocity(basis, fld.state, fld.dx)
-    e = energy(basis, st, fld.bottom, 1.0, u=vel.u)
+    e = energy(st, fld.bottom, 1.0, vel.u)
     assert total_energy(basis, fld, 1.0) == pytest.approx(fld.dx * float(np.sum(e)), rel=1e-14)
 
 
