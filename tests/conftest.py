@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import CellState, velocity
 from sgswe.entropy import energy
@@ -49,6 +50,31 @@ def random_state_batch(rng, n, K, h_mean=1.5, spread=0.1, q_scale=0.3):
     h[:, 1:] = spread * rng.standard_normal((n, K - 1))
     q = q_scale * rng.standard_normal((n, K))
     return CellState(h=_cap_fluctuations(h), q=q)
+
+
+class CountingPool:
+    """Stands in for the solver pool and records the size of each chunk
+    handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.sizes = pool, []
+
+    def submit(self, fn, part):
+        self.sizes.append(len(part))
+        return self.pool.submit(fn, part)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    counting = CountingPool(sgswe.linalg._executor())
+    monkeypatch.setattr(sgswe.linalg, "_executor", lambda: counting)
+    return counting
+
+
+def distinct_eyes(n, count):
+    """count multiples 1, 2, ..., count of the n x n identity: a batch in
+    which no two neighbours are equal, so sym_eig solves every matrix."""
+    return np.eye(n) * (1.0 + np.arange(count))[:, None, None]
 
 
 # Test-only oracles: SPD helpers, the state-level physical flux and energy

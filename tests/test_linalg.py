@@ -11,7 +11,7 @@ import pytest
 import sgswe.linalg
 from sgswe.linalg import _MIN_CHUNK, sym_eig
 
-from conftest import NotSPDError, spd_solve, spd_sqrt
+from conftest import NotSPDError, distinct_eyes, spd_solve, spd_sqrt
 
 
 def _random_spd(rng, n, batch=()):
@@ -76,27 +76,11 @@ def _fill(n):
     return -(-_MIN_CHUNK // (n * n))
 
 
-class _CountingPool:
-    """Stands in for the solver pool and records the size of each chunk
-    handed to it."""
-
-    def __init__(self, pool):
-        self.pool, self.sizes = pool, []
-
-    def submit(self, fn, part):
-        self.sizes.append(len(part))
-        return self.pool.submit(fn, part)
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    counting = _CountingPool(sgswe.linalg._executor())
-    monkeypatch.setattr(sgswe.linalg, "_executor", lambda: counting)
-    return counting
+_EIGH = np.linalg.eigh
 
 
 def _serial(A):
-    return np.linalg.eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+    return _EIGH(0.5 * (A + np.swapaxes(A, -1, -2)))
 
 
 def _assert_bitwise(A):
@@ -132,7 +116,7 @@ def test_chunked_sym_eig_is_bitwise_per_size(monkeypatch, pool, K):
 
 def test_chunked_sym_eig_raises_like_serial(monkeypatch, pool):
     monkeypatch.setattr(sgswe.linalg, "_WIDTH", 3)
-    A = np.tile(np.eye(5), (3 * _fill(5), 1, 1))
+    A = distinct_eyes(5, 3 * _fill(5))
     A[-1] = np.nan
     with pytest.raises(np.linalg.LinAlgError) as serial:
         _serial(A)
@@ -140,6 +124,76 @@ def test_chunked_sym_eig_raises_like_serial(monkeypatch, pool):
         sym_eig(A)
     assert str(chunked.value) == str(serial.value)
     assert len(pool.sizes) == 2
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The number of matrices each np.linalg.eigh call receives."""
+    sizes = []
+
+    def counting(a):
+        sizes.append(len(a))
+        return _EIGH(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
+def _runs(A):
+    """Runs of bytewise-equal neighbours in the symmetrized batch."""
+    S = 0.5 * (A + np.swapaxes(A, -1, -2))
+    flat = [m.tobytes() for m in S.reshape((-1,) + S.shape[-2:])]
+    return 1 + sum(a != b for a, b in zip(flat, flat[1:]))
+
+
+def _with_runs(rng, n, lengths):
+    """Random n x n matrices, each repeated as often as lengths says."""
+    return np.repeat(rng.standard_normal((len(lengths), n, n)), lengths, axis=0)
+
+
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_sym_eig_solves_each_run_once(solved, K):
+    batch = _with_runs(np.random.default_rng(30 + K), K, [5, 1, 1, 3, 1, 4])  # runs at both ends
+    pairs = batch[:12].reshape(6, 2, K, K)
+    strided = np.ascontiguousarray(pairs.swapaxes(0, 1)).swapaxes(0, 1)  # same values as pairs
+    for A, runs in [(batch, 6), (pairs, 6), (strided, 6), (batch[0], 1)]:
+        solved.clear()
+        _assert_bitwise(A)
+        assert _runs(A) == runs and sum(solved) == runs
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_sym_eig_run_at_a_chunk_boundary(monkeypatch, pool, solved, offset):
+    # 2m + 1 distinct matrices make two chunks, m + 1 and m; the run is the
+    # last matrix of the first chunk or the first of the second
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
+    m = _fill(6)
+    A = _with_runs(np.random.default_rng(40 + offset), 6, [1] * (m + offset) + [9] + [1] * (m - offset))
+    _assert_bitwise(A)
+    assert pool.sizes == [m]
+    assert sorted(solved) == [m, m + 1]
+
+
+def test_sym_eig_solves_signed_zeros_and_ulps_apart(solved):
+    base = np.diag([2.0, 1.0, 3.0])
+    neg = base.copy()
+    neg[0, 1] = neg[1, 0] = -0.0
+    ulp = base.copy()
+    ulp[2, 2] = np.nextafter(3.0, 4.0)
+    A = np.stack([base, neg, base, ulp, ulp])
+    _assert_bitwise(A)
+    assert solved == [4]
+
+
+def test_sym_eig_nan_run_raises_like_serial(solved):
+    A = distinct_eyes(4, 12)
+    A[3:7] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as serial:
+        _serial(A)
+    with pytest.raises(np.linalg.LinAlgError) as deduplicated:
+        sym_eig(A)
+    assert str(deduplicated.value) == str(serial.value)
+    assert solved == [9]
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):

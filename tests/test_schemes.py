@@ -241,6 +241,19 @@ def test_hyperbolicity_error_index_from_last_chunk(basis4, monkeypatch):
         assert info.value.cell == nx - 2
 
 
+def test_hyperbolicity_error_names_first_cell_of_a_run(basis4):
+    # sym_eig solves the run once; the error still names its first cell
+    fld = _random_field(np.random.default_rng(17), 20, 4)
+    fld.h[7:12] = [-1.0, 0.0, 0.0, 0.0]
+    for call in (
+        lambda: _p_eig(basis4, fld.h),
+        lambda: velocity(basis4, fld.state, fld.dx),
+    ):
+        with pytest.raises(HyperbolicityError) as info:
+            call()
+        assert info.value.cell == 7
+
+
 def test_conservation_telescopes(basis4):
     rng = np.random.default_rng(9)
     fld = _random_field(rng, 20, 4)

@@ -22,7 +22,7 @@ from sgswe.timestep import (
     total_energy,
 )
 
-from conftest import random_state_batch
+from conftest import CountingPool, distinct_eyes, random_state_batch
 
 
 def _sine_field(basis, nx, amp=0.1, policy="periodic"):
@@ -287,32 +287,69 @@ def test_step_with_passed_solve_is_bitwise(scheme, make_field):
     assert np.array_equal(a.field.h, b.field.h) and np.array_equal(a.field.q, b.field.q)
 
 
-def test_integrate_es2_chunked_eigensolves_bitwise(monkeypatch):
+def test_integrate_es2_chunked_eigensolves_bitwise(monkeypatch, pool):
     # es2 amplifies one ulp of dt into ~1e-3 in h, so this fails unless every
     # chunked eigensolve is bitwise equal to the serial one.
     basis = build_basis(3)
     nx = 2 * sgswe.linalg._MIN_CHUNK // 9 + 1  # two chunks of 3x3 solves
-    runs = []
+    runs, splits = [], []
     for width in (1, 2):
         monkeypatch.setattr(sgswe.linalg, "_WIDTH", width)
-        runs.append(integrate(basis, _dam_break_field(basis, nx), SchemeKind.ES2,
-                              1.0, 0.45, 0.01))
+        fld = _dam_break_field(basis, nx)
+        fld.h[:, 0] += 1e-3 * np.arange(nx) / nx  # no two cells equal, so no solve is skipped
+        runs.append(integrate(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.01))
+        splits.append(len(pool.sizes))
     (serial, serial_records), (chunked, chunked_records) = runs
-    assert len(serial_records) > 3
+    assert len(serial_records) > 3 and splits[0] == 0 and splits[1] > 0
     assert chunked_records == serial_records
     assert np.array_equal(chunked.h, serial.h) and np.array_equal(chunked.q, serial.q)
 
 
+def test_integrate_es2_skipped_eigensolves_bitwise(monkeypatch):
+    # the same amplification makes this fail unless every eigensolve that
+    # sym_eig skips for an equal neighbour copies a bitwise-equal solution
+    basis = build_basis(3)
+    eigh, solved, passed = np.linalg.eigh, [], []
+
+    def counting(a):
+        solved.append(len(a))
+        return eigh(a)
+
+    def plain(A):
+        passed.append(A[..., 0, 0].size)
+        return eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", counting)
+        deduplicated = integrate(basis, _dam_break_field(basis, 100), SchemeKind.ES2,
+                                 1.0, 0.45, 0.05)
+    for module in (sgswe.core, sgswe.timestep):
+        monkeypatch.setattr(module, "sym_eig", plain)
+    (fld, records), (ref, ref_records) = deduplicated, integrate(
+        basis, _dam_break_field(basis, 100), SchemeKind.ES2, 1.0, 0.45, 0.05)
+    assert len(records) > 3 and sum(solved) < sum(passed) / 2
+    assert records == ref_records
+    assert np.array_equal(fld.h, ref.h) and np.array_equal(fld.q, ref.q)
+
+
+_FORK_BATCH = 2 * sgswe.linalg._MIN_CHUNK // 16  # two chunks of 4x4 solves
+
+
 def _chunked_sym_eig_child():
-    A = np.tile(np.eye(4), (2 * sgswe.linalg._MIN_CHUNK // 16, 1, 1))
-    values, _ = sgswe.linalg.sym_eig(A)
-    raise SystemExit(0 if np.all(values == 1.0) else 1)
+    counting = CountingPool(sgswe.linalg._executor())
+    sgswe.linalg._executor = lambda: counting
+    values, _ = sgswe.linalg.sym_eig(distinct_eyes(4, _FORK_BATCH))
+    expected = np.repeat(1.0 + np.arange(_FORK_BATCH), 4).reshape(-1, 4)
+    raise SystemExit(0 if counting.sizes and np.array_equal(values, expected) else 1)
 
 
 def test_forked_child_runs_chunked_sym_eig(monkeypatch):
     monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
-    A = np.tile(np.eye(4), (2 * sgswe.linalg._MIN_CHUNK // 16, 1, 1))
-    sgswe.linalg.sym_eig(A)  # the pool now has a live thread
+    counting = CountingPool(sgswe.linalg._executor())
+    with monkeypatch.context() as m:  # the child must not inherit this stand-in for our pool
+        m.setattr(sgswe.linalg, "_executor", lambda: counting)
+        sgswe.linalg.sym_eig(distinct_eyes(4, _FORK_BATCH))
+    assert counting.sizes  # the pool now has a live thread
     child = multiprocessing.get_context("fork").Process(target=_chunked_sym_eig_child)
     child.start()
     child.join(timeout=60)
