@@ -159,12 +159,13 @@ def _normalize_columns(L: np.ndarray) -> np.ndarray:
 
 
 def _symmetrizer_matrix(
-    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float, vel: Velocity | None
+    basis: PceBasis, p_eig: tuple[np.ndarray, np.ndarray, np.ndarray], u_bar: np.ndarray, g: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The symmetric matrix D of symmetrizer_eig, with the P(u_bar) and
-    G = sqrt(g P(h_bar)) it was assembled from, as (D, P(u_bar), G).  D has
-    the flux Jacobian's eigenvalues."""
-    Ph, pi, Q = _p_eig(basis, h_bar) if vel is None else (vel.Ph, vel.pi, vel.Q)
+    """The symmetric matrix D of symmetrizer_eig from p_eig = (P(h_bar), pi,
+    Q), the eigenpairs of _p_eig, with the P(u_bar) and G = sqrt(g P(h_bar))
+    it was assembled from, as (D, P(u_bar), G).  D has the flux Jacobian's
+    eigenvalues."""
+    Ph, pi, Q = p_eig
     Qt = np.swapaxes(Q, -1, -2)
     sq = np.sqrt(g * pi)
     G = (Q * sq[..., None, :]) @ Qt
@@ -176,7 +177,7 @@ def _symmetrizer_matrix(
     C = g * (Ginv @ Pq @ Ginv)
 
     K = basis.K
-    shape = h_bar.shape[:-1]
+    shape = u_bar.shape[:-1]
     D = np.empty(shape + (2 * K, 2 * K))
     D[..., :K, :K] = 0.5 * (2.0 * G + Pu + C)
     D[..., :K, K:] = 0.5 * (Pu - C)
@@ -197,7 +198,7 @@ def symmetrizer_eig(
     (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
     positive semi-definite Roe-type diffusion operator.
     """
-    D, Pu, G = _symmetrizer_matrix(basis, h_bar, u_bar, g, None)
+    D, Pu, G = _symmetrizer_matrix(basis, _p_eig(basis, h_bar), u_bar, g)
     K = basis.K
     lam, L = sym_eig(D)
     L = _normalize_columns(L)

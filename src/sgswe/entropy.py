@@ -3,8 +3,8 @@
 Total energy E(U) = (kinetic + potential) acts as a strictly convex entropy
 for the coefficient system as long as P(h) is SPD.  Both are batched over
 leading axes, with one scalar per state for E and a 2K-vector per state for
-V.  The flux paired with E is assembled at the interfaces, in
-schemes.interface_flux.
+V.  schemes.interface_flux takes V at the cells; the solver never
+assembles the energy flux paired with E.
 """
 
 from __future__ import annotations

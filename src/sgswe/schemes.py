@@ -21,7 +21,7 @@ import numpy as np
 from .basis import PceBasis, p_operator
 from .core import CellState, Field, Velocity, pad_ghosts, symmetrizer_eig, velocity
 from .entropy import _entropy_vars
-from .linalg import _dot, _mtv, _mv
+from .linalg import _mtv, _mv
 
 __all__ = [
     "SchemeKind",
@@ -79,15 +79,10 @@ class InterfaceFlux:
 
     flux (..., n-1, 2K) is the total flux, diffusion included; Ph_bar
     (..., n-1, K, K) is P(h_bar), which the well-balanced source reuses.
-    Diagnostics are None unless requested: energy_flux and vjump_dot_diff
-    ([[V]] . diff) per interface, entropy_vars (..., n, 2K) per cell.
     """
 
     flux: np.ndarray
     Ph_bar: np.ndarray
-    energy_flux: np.ndarray | None = None
-    vjump_dot_diff: np.ndarray | None = None
-    entropy_vars: np.ndarray | None = None
 
 
 def interface_flux(
@@ -97,7 +92,6 @@ def interface_flux(
     B: np.ndarray,
     scheme: SchemeKind,
     g: float,
-    with_diagnostics: bool = False,
 ) -> InterfaceFlux:
     """Fluxes at the n-1 interfaces of cells stacked along axis -2.
 
@@ -109,24 +103,18 @@ def interface_flux(
 
     with (T, Lambda) the symmetrizer at (h_bar, u_bar), Pi = 0 for EC and
     Pi = 1 for ES1.  ES2 limits only interfaces that have a neighbour on
-    each side; the outermost two keep Pi = 1.  The energy flux is
-    H = avg(V) . F - avg(Psi) - (g/4) [[B]] . P(h_bar) [[u]].
+    each side; the outermost two keep Pi = 1.
     """
-    hL, hR = h[..., :-1, :], h[..., 1:, :]
-    uL, uR = u[..., :-1, :], u[..., 1:, :]
     Phh = _mv(p_operator(basis, h), h)
-    h_bar = 0.5 * (hL + hR)
-    u_bar = 0.5 * (uL + uR)
+    h_bar = 0.5 * (h[..., :-1, :] + h[..., 1:, :])
+    u_bar = 0.5 * (u[..., :-1, :] + u[..., 1:, :])
     Ph_bar = p_operator(basis, h_bar)
     Fh = _mv(Ph_bar, u_bar)
     Fq = 0.25 * g * (Phh[..., :-1, :] + Phh[..., 1:, :]) + _mv(p_operator(basis, u_bar), Fh)
     F = np.concatenate([Fh, Fq], axis=-1)
 
-    V = None
-    if scheme is not SchemeKind.EC or with_diagnostics:
-        V = _entropy_vars(basis, h, u, B, g)
-    diff = np.zeros_like(F)
     if scheme is not SchemeKind.EC:
+        V = _entropy_vars(basis, h, u, B, g)
         T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
         w_left = _mtv(T, V[..., :-1, :])
         w_right = _mtv(T, V[..., 1:, :])
@@ -142,25 +130,8 @@ def interface_flux(
                 w_right[..., 1:-1, :],
             )
             weight = weight * Pi
-        diff = _mv(T, weight * wjump)
-        F = F - 0.5 * diff
-
-    if not with_diagnostics:
-        return InterfaceFlux(flux=F, Ph_bar=Ph_bar)
-    psi = 0.5 * g * _dot(u, Phh)
-    jB = B[..., 1:, :] - B[..., :-1, :]
-    H = (
-        _dot(0.5 * (V[..., :-1, :] + V[..., 1:, :]), F)
-        - 0.5 * (psi[..., :-1] + psi[..., 1:])
-        - 0.25 * g * _dot(jB, _mv(Ph_bar, uR - uL))
-    )
-    return InterfaceFlux(
-        flux=F,
-        Ph_bar=Ph_bar,
-        energy_flux=H,
-        vjump_dot_diff=_dot(V[..., 1:, :] - V[..., :-1, :], diff),
-        entropy_vars=V,
-    )
+        F = F - 0.5 * _mv(T, weight * wjump)
+    return InterfaceFlux(flux=F, Ph_bar=Ph_bar)
 
 
 @dataclass(frozen=True)
@@ -170,17 +141,13 @@ class RhsResult:
     fluxes holds the nx+1 interior interface fluxes (total, diffusion
     included).  field carries the discharge after any desingularization
     recompute; time integrators must advance this state, not the input.
-    velocity is the stage's solve, which the CFL bound reuses.  Diagnostic
-    arrays are None unless requested.
+    velocity is the stage's solve, which the CFL bound reuses.
     """
 
     rhs: np.ndarray
     fluxes: np.ndarray
     field: Field
     velocity: Velocity
-    energy_flux: np.ndarray | None = None
-    vjump_dot_diff: np.ndarray | None = None
-    entropy_vars: np.ndarray | None = None
 
 
 def semidiscrete_rhs(
@@ -188,7 +155,6 @@ def semidiscrete_rhs(
     field: Field,
     scheme: SchemeKind,
     g: float,
-    with_diagnostics: bool = False,
     solved: tuple[Velocity, CellState] | None = None,
 ) -> RhsResult:
     """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i.
@@ -204,7 +170,7 @@ def semidiscrete_rhs(
     nx = field.nx
     vel, st = velocity(basis, field.state, field.dx) if solved is None else solved
     hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
-    k = interface_flux(basis, hp, up, Bp, scheme, g, with_diagnostics)
+    k = interface_flux(basis, hp, up, Bp, scheme, g)
 
     # padded interface j sits between padded cells j and j+1; the interior
     # interfaces are j = 1 .. nx+1
@@ -214,17 +180,4 @@ def semidiscrete_rhs(
     rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
     rhs[:, basis.K :] += Sq
 
-    diagnostics = {}
-    if with_diagnostics:
-        diagnostics = dict(
-            energy_flux=k.energy_flux[1 : nx + 2],
-            vjump_dot_diff=k.vjump_dot_diff[1 : nx + 2],
-            entropy_vars=k.entropy_vars[2 : nx + 2],
-        )
-    return RhsResult(
-        rhs=rhs,
-        fluxes=fluxes,
-        field=replace(field, q=st.q),
-        velocity=vel,
-        **diagnostics,
-    )
+    return RhsResult(rhs=rhs, fluxes=fluxes, field=replace(field, q=st.q), velocity=vel)

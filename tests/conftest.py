@@ -5,7 +5,7 @@ import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import CellState, velocity
+from sgswe.core import CellState, pad_ghosts, velocity
 from sgswe.entropy import energy
 from sgswe.linalg import sym_eig
 
@@ -78,10 +78,10 @@ def distinct_eyes(n, count):
 
 
 # Test-only oracles: SPD helpers, the state-level physical flux and energy
-# pair, the flux Jacobian and the energy Hessian.  The solver needs none of
-# them; the tests check its eigen-path and its interface fluxes against them.
-# Each takes the exact velocity (eps = 0) and is written from the formula, not
-# from the solver's helpers.
+# pair, the interface energy flux, the flux Jacobian and the energy Hessian.
+# The solver needs none of them; the tests check its eigen-path and its
+# interface fluxes against them.  The state-level ones take the exact velocity
+# (eps = 0); each is written from the formula, not from the solver's helpers.
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -130,11 +130,15 @@ def physical_flux(basis, state, g):
     return np.concatenate([state.q, Fq], axis=-1)
 
 
+def entropy_vars_at(basis, h, u, bottom, g):
+    """V = (-P(u)u/2 + g(h + B); u) at the velocity u, shape (..., 2K)."""
+    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * (h + bottom)
+    return np.concatenate([V1, u], axis=-1)
+
+
 def entropy_variables(basis, state, bottom, g):
     """V = dE/dU = (-P(u)u/2 + g(h + B); u), shape (..., 2K)."""
-    u = exact_u(basis, state)
-    V1 = -0.5 * _mv(p_operator(basis, u), u) + g * (state.h + bottom)
-    return np.concatenate([V1, u], axis=-1)
+    return entropy_vars_at(basis, state.h, exact_u(basis, state), bottom, g)
 
 
 def energy_flux(basis, state, bottom, g):
@@ -150,6 +154,33 @@ def energy_potential(basis, state, g):
     return 0.5 * g * np.sum(u * _mv(p_operator(basis, state.h), state.h), axis=-1)
 
 
+def interface_energy_flux(basis, h, u, B, F, g):
+    """Numerical energy flux H = avg(V) . F - avg(Psi) - (g/4) [[B]] . P(h_bar) [[u]]
+    at the n-1 interfaces of cells stacked along axis -2 (h, u, B of shape
+    (..., n, K)), given their interface fluxes F (..., n-1, 2K)."""
+    V = entropy_vars_at(basis, h, u, B, g)
+    psi = 0.5 * g * np.sum(u * _mv(p_operator(basis, h), h), axis=-1)
+    Ph_bar = p_operator(basis, 0.5 * (h[..., :-1, :] + h[..., 1:, :]))
+    jB, ju = np.diff(B, axis=-2), np.diff(u, axis=-2)
+    return (
+        np.sum(0.5 * (V[..., :-1, :] + V[..., 1:, :]) * F, axis=-1)
+        - 0.5 * (psi[..., :-1] + psi[..., 1:])
+        - 0.25 * g * np.sum(jB * _mv(Ph_bar, ju), axis=-1)
+    )
+
+
+def grid_energy_pair(basis, field, r, g):
+    """Entropy variables V of the cells 1 .. nx+2 of the ghost-padded grid
+    (interior cells are V[1:-1]) and the energy flux at the nx+1 interior
+    interfaces, for r = semidiscrete_rhs(basis, field, scheme, g)."""
+    hp, up, Bp = (
+        pad_ghosts(a, field.ghost_policy)[1 : field.nx + 3]
+        for a in (field.h, r.velocity.u, field.bottom)
+    )
+    V = entropy_vars_at(basis, hp, up, Bp, g)
+    return V, interface_energy_flux(basis, hp, up, Bp, r.fluxes, g)
+
+
 def state_energy(basis, state, bottom, g):
     """sgswe.entropy.energy at the exact velocity of state."""
     return energy(state, bottom, g, exact_u(basis, state))
@@ -161,10 +192,10 @@ def flux_jacobian(basis, state, g):
         [ O                                I                    ]
         [ g P(h) - P(q) P^{-1}(h) P(u)     P(q) P^{-1}(h) + P(u)]
 
-    with P^{-1}(h) built from the P(h) eigenpairs that velocity() uses.
+    with P^{-1}(h) built from the eigenpairs of P(h).
     """
-    vel = velocity(basis, state, 0.0)[0]
-    Ph, pi, Q = vel.Ph, vel.pi, vel.Q
+    Ph = p_operator(basis, state.h)
+    pi, Q = np.linalg.eigh(Ph)
     Pinv = (Q / pi[..., None, :]) @ np.swapaxes(Q, -1, -2)
     u = _mv(Pinv, state.q)
     Pq = p_operator(basis, state.q)

@@ -1,7 +1,11 @@
 """Public names: every __all__ entry of the package and its modules resolves,
-none is listed twice, and the README lists exactly the package's."""
+none is listed twice, and the README lists exactly the package's.  The
+benchmark's span tracer (perfbench/tracer.py) wraps the functions in these
+__all__ lists and reads some of their arguments and results; the last tests
+pin what it reads."""
 
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sgswe
+from sgswe import SchemeKind, SolverConfig, build_basis, build_experiment, ssp_rk3_step, velocity
 
 MODULES = ["sgswe"] + [f"sgswe.{m.name}" for m in pkgutil.iter_modules(sgswe.__path__)]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,3 +32,47 @@ def test_readme_public_api_matches_all():
     bullets = after.lstrip("\n").split("\n\n", 1)[0]
     listed = re.findall(r"`(\w+)`", bullets)
     assert sorted(listed) == sorted(n for n in sgswe.__all__ if n != "__version__")
+
+
+# module -> the functions whose spans or counters the tracer reports
+TRACED = {
+    "basis": ["build_basis", "p_operator"],
+    "linalg": ["sym_eig"],
+    "core": ["velocity", "symmetrizer_eig"],
+    "entropy": ["energy"],
+    "schemes": ["semidiscrete_rhs"],
+    "timestep": ["positivity_lambda", "cfl_dt", "total_energy", "ssp_rk3_step"],
+    "cli": ["build_experiment", "write_snapshot", "write_energy_series"],
+}
+
+
+@pytest.mark.parametrize("short", sorted(TRACED))
+def test_traced_functions_are_public(short):
+    module = importlib.import_module(f"sgswe.{short}")
+    assert set(TRACED[short]) <= set(module.__all__)
+
+
+@pytest.mark.parametrize(
+    "qualname, index, name",
+    [
+        ("linalg.sym_eig", 0, "A"),
+        ("core.symmetrizer_eig", 1, "h_bar"),
+        ("cli.write_snapshot", 3, "path"),
+        ("cli.write_energy_series", 1, "path"),
+    ],
+)
+def test_traced_argument_positions(qualname, index, name):
+    module, fname = qualname.split(".")
+    fn = getattr(importlib.import_module(f"sgswe.{module}"), fname)
+    assert list(inspect.signature(fn).parameters)[index] == name
+
+
+def test_traced_results():
+    cfg = SolverConfig(experiment="dam_break_flat", K=3, nx=8)
+    basis = build_basis(cfg.K)
+    field = build_experiment(cfg, basis)
+    flags = velocity(basis, field.state, field.dx)[0].desingularized
+    assert flags.shape == (cfg.nx,) and flags.dtype == bool
+    step = ssp_rk3_step(basis, field, SchemeKind.ES2, cfg.g, cfg.cfl, 0.0, cfg.t_final)
+    assert isinstance(step.restarts, int)
+    assert 0.0 < step.dt <= 0.9 * step.lam
