@@ -12,7 +12,6 @@ raised ``sgswe.errors`` class.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from collections.abc import Mapping
@@ -163,8 +162,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> So
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     pairs = {**_parse_pairs(text, str(path)), **(overrides or {})}
 
@@ -289,20 +288,13 @@ def _snapshot_name(t: float) -> str:
     return f"snapshot_t{t:.6g}.csv"
 
 
-def _fmt(x) -> str:
-    """Integers as str prints them, floats at full precision."""
-    return str(x) if isinstance(x, int) else format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], columns: list):
-    """One row per entry of the equal-length columns, every cell through
-    _fmt, CRLF line ends."""
-    # Python scalars: faster to format than numpy ones, and ints stay ints
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    """One row per entry of the equal-length columns at %.17g, CRLF line
+    ends."""
+    # a handle, not a path: savetxt opens paths in text mode (\r\r\n on Windows)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(x) for x in row] for row in rows)
+        np.savetxt(handle, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=",".join(header), comments="")
 
 
 def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
@@ -357,7 +349,10 @@ def run(cfg: SolverConfig) -> int:
     returns the error's exit code.
     """
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from None
     basis = build_basis(cfg.K)
 
     def on_snapshot(t, field):
@@ -370,13 +365,13 @@ def run(cfg: SolverConfig) -> int:
                   snapshot_times=cfg.snapshot_times, on_snapshot=on_snapshot, records=records)
     except SolverError as exc:
         t_reached = records[-1].t if records else 0.0
-        print(f"error: {exc} (reached t = {_fmt(t_reached)})", file=sys.stderr)
+        print(f"error: {exc} (reached t = {t_reached:.17g})", file=sys.stderr)
         return exc.exit_code
     finally:
         write_energy_series(records, out / "energy.csv")
     last = records[-1]
     print(
-        f"{cfg.experiment} [{cfg.scheme.value}] done: t = {_fmt(last.t)}, "
+        f"{cfg.experiment} [{cfg.scheme.value}] done: t = {last.t:.17g}, "
         f"{len(records) - 1} steps, {last.restarts} restarts, outputs in {out}"
     )
     return 0

@@ -12,9 +12,19 @@ __all__ = [
 
 
 class SolverError(Exception):
-    """Base class for all solver failures."""
+    """Base class for all solver failures.
+
+    Raise sites pass what they know as keywords: `cell` and `node` index
+    the offending cell and quadrature node, `t` and `dt` the time and step,
+    `detail` a numeric diagnostic such as an eigenvalue.  Each is None when
+    not given.
+    """
 
     exit_code = 1
+
+    def __init__(self, message, *, cell=None, node=None, t=None, dt=None, detail=None):
+        super().__init__(message)
+        self.cell, self.node, self.t, self.dt, self.detail = cell, node, t, dt, detail
 
 
 class ConfigError(SolverError):
@@ -32,21 +42,11 @@ class HyperbolicityError(SolverError):
 
     exit_code = 3
 
-    def __init__(self, message, cell=None, detail=None):
-        super().__init__(message)
-        self.cell = cell
-        self.detail = detail
-
 
 class PositivityError(SolverError):
     """Height surrogate non-positive at a quadrature node."""
 
     exit_code = 3
-
-    def __init__(self, message, cell=None, node=None):
-        super().__init__(message)
-        self.cell = cell
-        self.node = node
 
 
 class BlowUpError(SolverError):
@@ -54,17 +54,8 @@ class BlowUpError(SolverError):
 
     exit_code = 4
 
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
 
 class DtUnderflowError(SolverError):
     """Adaptive time step shrank below the resolvable scale."""
 
     exit_code = 5
-
-    def __init__(self, message, t=None, dt=None):
-        super().__init__(message)
-        self.t = t
-        self.dt = dt

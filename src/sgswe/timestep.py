@@ -71,10 +71,7 @@ def cfl_dt(basis: PceBasis, field: Field, g: float, cfl: float, vel: Velocity) -
     passes its stage-0 solve.  Only the eigenvalues of symmetrizer_eig's
     matrix are used, so its eigenvectors are not assembled."""
     lam, _ = sym_eig(_symmetrizer_matrix(basis, (vel.Ph, vel.pi, vel.Q), vel.u, g)[0])
-    amax = float(np.max(np.abs(lam)))
-    if amax == 0.0:
-        return np.inf
-    return cfl * field.dx / amax
+    return cfl * field.dx / float(np.max(np.abs(lam)))
 
 
 def total_energy(

@@ -300,6 +300,28 @@ def test_write_energy_series_columns(tmp_path):
     assert rows[1][4] == "2"
     assert [float(v) for v in rows[1][5:]] == [0.1, 0.5]
 
+    # every float cell reads back bitwise, across magnitudes and special values
+    rng = np.random.default_rng(3)
+    values = [*(rng.standard_normal(6) * np.logspace(-300, 300, 6)), -0.0, 5e-324, np.nan, np.inf]
+    records += [
+        StepRecord(t=v, dt=v, lam=v, energy=e, min_node_height=v, restarts=2)
+        for v, e in zip(values, rng.uniform(1.0, 5.0, len(values)))
+    ]
+    write_energy_series(records, path)
+    _, rows = read_csv(path)
+    cols = {name: [getattr(rec, name) for rec in records]
+            for name in ("t", "energy", "min_node_height", "restarts", "dt", "lam")}
+    e = np.array(cols["energy"])
+    expected = zip(cols["t"], e, (e - e[0]) / e, cols["min_node_height"], cols["restarts"],
+                   cols["dt"], cols["lam"])
+    for row, want in zip(rows, expected, strict=True):
+        for cell, x in zip(row, want, strict=True):
+            got = float(cell)
+            assert (math.isnan(got) and math.isnan(x)) or (
+                got == x and math.copysign(1.0, got) == math.copysign(1.0, x)
+            ), (cell, x)
+    assert [row[4] for row in rows[1:]] == ["2"] * (len(records) - 1)
+
     empty = tmp_path / "none.csv"
     write_energy_series([], empty)
     assert not empty.exists()
@@ -396,6 +418,19 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(zero_g)]) == 2
     assert "error: g must be positive" in capsys.readouterr().err
 
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(b"experiment = dam_break_flat\n\xff\n")
+    assert main(["run", "--config", str(not_utf8)]) == 2
+    assert "error: cannot read config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_main_rejects_unusable_output_dir(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("not a directory")
+    path = write_cfg(tmp_path, "experiment = custom\nK = 2\nnx = 16\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / out)]) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "flag", [["--nx", "4"], ["--cfl", "-1"], ["--scheme", "roe"], ["--nx", "ten"]]
@@ -410,13 +445,18 @@ def test_main_rejects_bad_flags(tmp_path, capsys, flag):
 @pytest.mark.parametrize(
     "exc,code",
     [
-        (HyperbolicityError("P(h) not positive definite", cell=1), 3),
-        (PositivityError("nonpositive node height", cell=1, node=0), 3),
-        (BlowUpError("non-finite state encountered", t=0.0), 4),
-        (DtUnderflowError("dt fell below the floor", t=0.0, dt=0.0), 5),
+        ((HyperbolicityError, "P(h) not positive definite", {"cell": 1, "detail": -1.0}), 3),
+        ((PositivityError, "nonpositive node height", {"cell": 1, "node": 0}), 3),
+        ((BlowUpError, "non-finite state encountered", {"t": 0.0}), 4),
+        ((DtUnderflowError, "dt fell below the floor", {"t": 0.0, "dt": 0.0}), 5),
     ],
 )
 def test_main_solver_error_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
+    cls, message, given = exc
+    exc = cls(message, **given)
+    context = {name: getattr(exc, name) for name in ("cell", "node", "t", "dt", "detail")}
+    assert context == {**dict.fromkeys(context), **given}
+
     def failing_integrate(basis, field, *args, records, **kwargs):
         records.append(
             StepRecord(t=0.0, dt=0.0, lam=np.inf, restarts=0, energy=1.0, min_node_height=1.0)
