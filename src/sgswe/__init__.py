@@ -4,7 +4,6 @@ stochastic Galerkin shallow water equations."""
 from .basis import PceBasis, build_basis, eval_basis, mean_variance, p_operator
 from .cli import SolverConfig, build_experiment, load_config
 from .core import (
-    CellState,
     Field,
     Velocity,
     project_bottom,
@@ -41,7 +40,6 @@ __all__ = [
     "eval_basis",
     "mean_variance",
     "p_operator",
-    "CellState",
     "Field",
     "Velocity",
     "velocity",

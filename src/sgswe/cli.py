@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .basis import PceBasis, build_basis, eval_basis, mean_variance
-from .core import Field, project_bottom
+from .core import Field, project_bottom, velocity
 from .errors import ConfigError, SolverError
 from .schemes import SchemeKind, semidiscrete_rhs
 from .timestep import StepRecord, integrate, positivity_check
@@ -383,7 +383,7 @@ def run_checks(cfg: SolverConfig) -> int:
     its right-hand side raises the solver errors of a dry or non-hyperbolic
     start."""
     basis = build_basis(cfg.K)
-    r = semidiscrete_rhs(basis, build_experiment(cfg, basis), cfg.scheme, cfg.g)
+    r = semidiscrete_rhs(basis, velocity(basis, build_experiment(cfg, basis)), cfg.scheme, cfg.g)
     bad = int(np.count_nonzero(~np.isfinite(r.rhs)))
     verdict = f"FAIL ({bad} non-finite entries)" if bad else "ok"
     print(f"check: rhs finite: {verdict}")

@@ -9,7 +9,7 @@ batched coefficient arrays with shape (..., K); matrices come back as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .errors import HyperbolicityError
 from .linalg import _mtv, _mv, sym_eig
 
 __all__ = [
-    "CellState",
     "Velocity",
     "Field",
     "velocity",
@@ -29,25 +28,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CellState:
-    """PCE coefficients of height and discharge; arrays of shape (..., K)."""
-
-    h: np.ndarray = dc_field(repr=False)
-    q: np.ndarray = dc_field(repr=False)
-
-    def __post_init__(self):
-        if self.h.shape != self.q.shape:
-            raise ValueError(f"h/q shape mismatch: {self.h.shape} vs {self.q.shape}")
-
-
-@dataclass(frozen=True)
 class Velocity:
-    """Velocity coefficients u, a flag telling whether the regularized
-    inverse deviated from the exact one anywhere in the batch, and the
-    eigenpairs P(h) = Q diag(pi) Q^T that the solve used."""
+    """Velocity coefficients u, per-cell flags telling where the regularized
+    inverse deviated from the exact one, and the eigenpairs
+    P(h) = Q diag(pi) Q^T that the solve used."""
 
     u: np.ndarray = dc_field(repr=False)
-    desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (...)
+    desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
     Ph: np.ndarray = dc_field(repr=False)
     pi: np.ndarray = dc_field(repr=False)
     Q: np.ndarray = dc_field(repr=False)
@@ -88,10 +75,6 @@ class Field:
     def x_centers(self) -> np.ndarray:
         return self.x_left + self.dx * (np.arange(self.nx) + 0.5)
 
-    @property
-    def state(self) -> CellState:
-        return CellState(h=self.h, q=self.q)
-
 
 def pad_ghosts(arr: np.ndarray, policy: str) -> np.ndarray:
     """Prepend/append two ghost layers along axis 0.
@@ -122,27 +105,34 @@ def _p_eig(basis: PceBasis, h: np.ndarray):
     return Ph, pi, Q
 
 
-def velocity(basis: PceBasis, state: CellState, eps: float) -> tuple[Velocity, CellState]:
-    """Velocity u from the (regularized) inverse of P(h) applied to q.
+def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
+    """Velocity u of every cell from the (regularized) inverse of P(h)
+    applied to q, with the field whose discharge matches it.
 
     Eigenvalues pi of P(h) below eps are replaced by
     sqrt(pi^4 + max(pi^4, eps^4)) / (sqrt(2) pi), which leaves pi >= eps
-    untouched; when any eigenvalue was regularized in a batch entry, that
-    entry's discharge is recomputed as q <- P(h) u so that u and q stay
-    consistent.  eps = 0 gives the exact solve.
+    untouched (Kurganov & Petrova, 2007); in a cell where any eigenvalue
+    was regularized the discharge is recomputed as q <- P(h) u so that u
+    and q stay consistent.  The threshold is the grid's, eps = field.dx,
+    and this is the one place that sets it.  It compares an eigenvalue of
+    P(h), a height, with a length, so it is not dimensionally consistent.
+    It is documented rather than changed: any other value changes the
+    outputs of every run that desingularizes, such as the hump configs
+    under perfbench/configs/smoke/.
     """
-    Ph, pi, Q = _p_eig(basis, state.h)
+    eps = field.dx
+    Ph, pi, Q = _p_eig(basis, field.h)
     small = pi < eps
     pi_reg = np.where(
         small, np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi), pi
     )
     activated = np.any(small, axis=-1)
-    u = _mv(Q, _mtv(Q, state.q) / pi_reg)
+    u = _mv(Q, _mtv(Q, field.q) / pi_reg)
     if np.any(activated):
-        q_new = np.where(activated[..., None], _mv(Ph, u), state.q)
+        q_new = np.where(activated[..., None], _mv(Ph, u), field.q)
     else:
-        q_new = state.q
-    return Velocity(u, activated, Ph, pi, Q), CellState(h=state.h, q=q_new)
+        q_new = field.q
+    return Velocity(u, activated, Ph, pi, Q), replace(field, q=q_new)
 
 
 def _normalize_columns(L: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import p_operator
-from .core import CellState
 from .linalg import _dot, _mv
 
 __all__ = ["energy"]
@@ -24,8 +23,8 @@ def _entropy_vars(basis, h, u, bottom, g):
     return np.concatenate([V1, u], axis=-1)
 
 
-def energy(state: CellState, bottom: np.ndarray, g: float, u: np.ndarray) -> np.ndarray:
-    """E = (q.u + g |h|^2)/2 + g h.B, with u the velocity solved from state."""
-    return 0.5 * (_dot(state.q, u) + g * _dot(state.h, state.h)) + g * _dot(
-        state.h, bottom
-    )
+def energy(
+    h: np.ndarray, q: np.ndarray, bottom: np.ndarray, g: float, u: np.ndarray
+) -> np.ndarray:
+    """E = (q.u + g |h|^2)/2 + g h.B, with u the velocity solved from (h, q)."""
+    return 0.5 * (_dot(q, u) + g * _dot(h, h)) + g * _dot(h, bottom)

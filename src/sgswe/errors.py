@@ -34,11 +34,7 @@ class ConfigError(SolverError):
 
 
 class HyperbolicityError(SolverError):
-    """P(h) lost positive definiteness at some cell.
-
-    `cell` is the offending cell index when known, `detail` an optional
-    eigenvalue or node diagnostic.
-    """
+    """P(h) lost positive definiteness at some cell."""
 
     exit_code = 3
 

@@ -13,13 +13,13 @@ semidiscrete_rhs runs it on the ghost-padded grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .basis import PceBasis, p_operator
-from .core import CellState, Field, Velocity, pad_ghosts, symmetrizer_eig, velocity
+from .core import Field, Velocity, pad_ghosts, symmetrizer_eig
 from .entropy import _entropy_vars
 from .linalg import _mtv, _mv
 
@@ -136,39 +136,32 @@ def interface_flux(
 
 @dataclass(frozen=True)
 class RhsResult:
-    """Semidiscrete right-hand side with the stage state actually used.
+    """Semidiscrete right-hand side with the stage state it was built from.
 
     fluxes holds the nx+1 interior interface fluxes (total, diffusion
-    included).  field carries the discharge after any desingularization
-    recompute; time integrators must advance this state, not the input.
-    velocity is the stage's solve, which the CFL bound reuses.
+    included).  field is the solved field, whose discharge carries any
+    desingularization recompute; time integrators must advance this state.
     """
 
     rhs: np.ndarray
     fluxes: np.ndarray
     field: Field
-    velocity: Velocity
 
 
 def semidiscrete_rhs(
-    basis: PceBasis,
-    field: Field,
-    scheme: SchemeKind,
-    g: float,
-    solved: tuple[Velocity, CellState] | None = None,
+    basis: PceBasis, solved: tuple[Velocity, Field], scheme: SchemeKind, g: float
 ) -> RhsResult:
     """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i.
 
-    The velocity is recovered on the interior cells with the grid's
-    desingularization threshold eps = field.dx, then h, u and B get two
-    ghost layers per side following field.ghost_policy.  solved, when given,
-    is velocity(basis, field.state, field.dx) already computed.  The
-    well-balanced source has a zero height block and
+    solved is velocity(basis, field): the velocity of the interior cells
+    and the field it was solved from.  h, u and B get two ghost layers per
+    side following field.ghost_policy.  The well-balanced source has a zero
+    height block and
     S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) over the right
     (+) and left (-) interfaces of the cell.
     """
+    vel, field = solved
     nx = field.nx
-    vel, st = velocity(basis, field.state, field.dx) if solved is None else solved
     hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
     k = interface_flux(basis, hp, up, Bp, scheme, g)
 
@@ -180,4 +173,4 @@ def semidiscrete_rhs(
     rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
     rhs[:, basis.K :] += Sq
 
-    return RhsResult(rhs=rhs, fluxes=fluxes, field=replace(field, q=st.q), velocity=vel)
+    return RhsResult(rhs=rhs, fluxes=fluxes, field=field)

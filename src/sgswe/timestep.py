@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import PceBasis
-from .core import CellState, Field, Velocity, _symmetrizer_matrix, velocity
+from .core import Field, Velocity, _symmetrizer_matrix, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, PositivityError
 from .linalg import sym_eig
@@ -65,22 +65,20 @@ def positivity_lambda(
     return float(ratio.min())
 
 
-def cfl_dt(basis: PceBasis, field: Field, g: float, cfl: float, vel: Velocity) -> float:
-    """dt = cfl dx / max spectral radius of the flux Jacobian over cells at
-    the velocity vel, velocity(basis, field.state, field.dx)[0]; ssp_rk3_step
-    passes its stage-0 solve.  Only the eigenvalues of symmetrizer_eig's
-    matrix are used, so its eigenvectors are not assembled."""
+def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float) -> float:
+    """dt = cfl dx / max spectral radius of the flux Jacobian over the cells
+    of solved = velocity(basis, field).  Only the eigenvalues of
+    symmetrizer_eig's matrix are used, so its eigenvectors are not
+    assembled."""
+    vel, field = solved
     lam, _ = sym_eig(_symmetrizer_matrix(basis, (vel.Ph, vel.pi, vel.Q), vel.u, g)[0])
     return cfl * field.dx / float(np.max(np.abs(lam)))
 
 
-def total_energy(
-    basis: PceBasis, field: Field, g: float, solved: tuple[Velocity, CellState] | None = None
-) -> float:
-    """dx-weighted sum of cell energies from solved, which defaults to
-    velocity(basis, field.state, field.dx) (eps = dx)."""
-    vel, st = velocity(basis, field.state, field.dx) if solved is None else solved
-    e = energy(st, field.bottom, g, vel.u)
+def total_energy(solved: tuple[Velocity, Field], g: float) -> float:
+    """dx-weighted sum of cell energies of solved = velocity(basis, field)."""
+    vel, field = solved
+    e = energy(field.h, field.q, field.bottom, g, vel.u)
     return field.dx * float(np.sum(e))
 
 
@@ -129,29 +127,27 @@ def _shu_osher_stage(r0: RhsResult, r: RhsResult, dt: float, k: int) -> Field:
 
 def ssp_rk3_step(
     basis: PceBasis,
-    field: Field,
+    solved: tuple[Velocity, Field],
     scheme: SchemeKind,
     g: float,
     cfl: float,
     t: float,
     t_final: float,
-    t_target: float | None = None,
-    solved: tuple[Velocity, CellState] | None = None,
+    t_target: float,
 ) -> StepResult:
-    """One adaptive SSP-RK3 step from time t.
+    """One adaptive SSP-RK3 step from time t and the state solved =
+    velocity(basis, field), which stage 0 and the CFL bound use.
 
     dt starts at min(CFL bound, 0.9 lambda, clamp to t_target); stages that
-    expose a smaller lambda shrink dt and restart the step.  Stage 0 and the
-    CFL bound use solved, velocity(basis, field.state, field.dx), if given.  Raises
+    expose a smaller lambda shrink dt and restart the step.  Raises
     DtUnderflowError once dt falls below 1e-14 t_final, BlowUpError on
     non-finite states, and lets positivity/hyperbolicity errors propagate.
     """
+    field = solved[1]
     _check_finite(field.h, field.q, t)
-    r0 = semidiscrete_rhs(basis, field, scheme, g, solved=solved)
-    lam0 = positivity_lambda(basis, r0.field.h, r0.fluxes, field.dx)
-    dt = min(cfl_dt(basis, r0.field, g, cfl, vel=r0.velocity), 0.9 * lam0)
-    cap = (t_final if t_target is None else t_target) - t
-    dt = min(dt, cap)
+    r0 = semidiscrete_rhs(basis, solved, scheme, g)
+    lam0 = positivity_lambda(basis, field.h, r0.fluxes, field.dx)
+    dt = min(cfl_dt(basis, solved, g, cfl), 0.9 * lam0, t_target - t)
     floor = _DT_FLOOR_FRAC * t_final
     restarts = 0
 
@@ -166,7 +162,7 @@ def ssp_rk3_step(
             _check_finite(stage.h, stage.q, t)
             if k == 2:
                 return StepResult(field=stage, t=t + dt, dt=dt, lam=lam0, restarts=restarts)
-            r = semidiscrete_rhs(basis, stage, scheme, g)
+            r = semidiscrete_rhs(basis, velocity(basis, stage), scheme, g)
             lam = positivity_lambda(basis, r.field.h, r.fluxes, field.dx)
             if 0.9 * lam < dt:
                 dt = 0.9 * lam
@@ -188,7 +184,8 @@ def integrate(
     """March to t_final, clamping steps onto snapshot times.
 
     on_snapshot(t, field) fires exactly at each requested time (including 0
-    or t_final when listed).  Returns the final field and one StepRecord per
+    or t_final when listed); a time within 1e-12 max(1, t_final) of 0 fires
+    with the initial field.  Returns the final field and one StepRecord per
     accepted step, plus the initial record at t = 0.  Passing a records list
     makes it fill in place, so partial histories survive mid-run failures.
     Each accepted state's velocity is solved once: the solve gives the
@@ -208,19 +205,20 @@ def integrate(
 
     def record(field, t, dt, lam, restarts):
         """Append field's StepRecord and return its velocity solve."""
-        solved = velocity(basis, field.state, field.dx)
-        e_total = total_energy(basis, field, g, solved)
+        solved = velocity(basis, field)
+        e_total = total_energy(solved, g)
         records.append(StepRecord(t, dt, lam, restarts, e_total, min_node_height(basis, field)))
         return solved
 
     solved = record(field, 0.0, 0.0, np.inf, 0)
-    if on_snapshot is not None and targets and targets[0] <= tol:
-        on_snapshot(0.0, field)
+    for ts in targets:
+        if ts <= tol and ts in wanted and on_snapshot is not None:
+            on_snapshot(ts, field)
     targets = [ts for ts in targets if ts > tol]
 
     while targets:
         target = targets[0]
-        step = ssp_rk3_step(basis, field, scheme, g, cfl, t, t_final, target, solved)
+        step = ssp_rk3_step(basis, solved, scheme, g, cfl, t, t_final, target)
         field, t = step.field, step.t
         restarts_total += step.restarts
         if t >= target - tol:

@@ -5,7 +5,7 @@ import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import CellState, pad_ghosts, velocity
+from sgswe.core import pad_ghosts
 from sgswe.entropy import energy
 from sgswe.linalg import sym_eig
 
@@ -36,20 +36,21 @@ def _cap_fluctuations(h, margin=0.3):
 
 
 def random_hyperbolic_state(rng, K, h_mean=1.5, spread=0.1, q_scale=0.3):
-    """Random state whose height surrogate is positive for every xi."""
+    """Random (h, q) whose height surrogate is positive for every xi."""
     h = np.empty(K)
     h[0] = h_mean + 0.2 * rng.random()
     h[1:] = spread * rng.standard_normal(K - 1)
     q = q_scale * rng.standard_normal(K)
-    return CellState(h=_cap_fluctuations(h), q=q)
+    return _cap_fluctuations(h), q
 
 
 def random_state_batch(rng, n, K, h_mean=1.5, spread=0.1, q_scale=0.3):
+    """n random states as (h, q) arrays of shape (n, K)."""
     h = np.empty((n, K))
     h[:, 0] = h_mean + 0.2 * rng.random(n)
     h[:, 1:] = spread * rng.standard_normal((n, K - 1))
     q = q_scale * rng.standard_normal((n, K))
-    return CellState(h=_cap_fluctuations(h), q=q)
+    return _cap_fluctuations(h), q
 
 
 class CountingPool:
@@ -80,8 +81,10 @@ def distinct_eyes(n, count):
 # Test-only oracles: SPD helpers, the state-level physical flux and energy
 # pair, the interface energy flux, the flux Jacobian and the energy Hessian.
 # The solver needs none of them; the tests check its eigen-path and its
-# interface fluxes against them.  The state-level ones take the exact velocity
-# (eps = 0); each is written from the formula, not from the solver's helpers.
+# interface fluxes against them.  The state-level ones take height and
+# discharge coefficients (h, q) of shape (..., K) and the exact velocity
+# u = P(h)^{-1} q; each is written from the formula, not from the solver's
+# helpers.
 
 
 class NotSPDError(np.linalg.LinAlgError):
@@ -118,16 +121,16 @@ def spd_sqrt(A):
     return root @ np.swapaxes(vectors, -1, -2)
 
 
-def exact_u(basis, state):
+def exact_u(basis, h, q):
     """Velocity from the exact inverse of P(h), u = P(h)^{-1} q."""
-    return velocity(basis, state, 0.0)[0].u
+    return spd_solve(p_operator(basis, h), q)
 
 
-def physical_flux(basis, state, g):
+def physical_flux(basis, h, q, g):
     """Exact flux F(U) = (q; P(q) u + (g/2) P(h) h), shape (..., 2K)."""
-    u = exact_u(basis, state)
-    Fq = _mv(p_operator(basis, state.q), u) + 0.5 * g * _mv(p_operator(basis, state.h), state.h)
-    return np.concatenate([state.q, Fq], axis=-1)
+    u = exact_u(basis, h, q)
+    Fq = _mv(p_operator(basis, q), u) + 0.5 * g * _mv(p_operator(basis, h), h)
+    return np.concatenate([q, Fq], axis=-1)
 
 
 def entropy_vars_at(basis, h, u, bottom, g):
@@ -136,22 +139,22 @@ def entropy_vars_at(basis, h, u, bottom, g):
     return np.concatenate([V1, u], axis=-1)
 
 
-def entropy_variables(basis, state, bottom, g):
+def entropy_variables(basis, h, q, bottom, g):
     """V = dE/dU = (-P(u)u/2 + g(h + B); u), shape (..., 2K)."""
-    return entropy_vars_at(basis, state.h, exact_u(basis, state), bottom, g)
+    return entropy_vars_at(basis, h, exact_u(basis, h, q), bottom, g)
 
 
-def energy_flux(basis, state, bottom, g):
+def energy_flux(basis, h, q, bottom, g):
     """H = u^T P(q) u / 2 + g q.h + g q.B, the flux paired with E."""
-    u = exact_u(basis, state)
-    kinetic = 0.5 * np.sum(u * _mv(p_operator(basis, state.q), u), axis=-1)
-    return kinetic + g * np.sum(state.q * (state.h + bottom), axis=-1)
+    u = exact_u(basis, h, q)
+    kinetic = 0.5 * np.sum(u * _mv(p_operator(basis, q), u), axis=-1)
+    return kinetic + g * np.sum(q * (h + bottom), axis=-1)
 
 
-def energy_potential(basis, state, g):
+def energy_potential(basis, h, q, g):
     """Psi = V.F - H = (g/2) u^T P(h) h; the bottom drops out."""
-    u = exact_u(basis, state)
-    return 0.5 * g * np.sum(u * _mv(p_operator(basis, state.h), state.h), axis=-1)
+    u = exact_u(basis, h, q)
+    return 0.5 * g * np.sum(u * _mv(p_operator(basis, h), h), axis=-1)
 
 
 def interface_energy_flux(basis, h, u, B, F, g):
@@ -169,24 +172,26 @@ def interface_energy_flux(basis, h, u, B, F, g):
     )
 
 
-def grid_energy_pair(basis, field, r, g):
+def grid_energy_pair(basis, solved, r, g):
     """Entropy variables V of the cells 1 .. nx+2 of the ghost-padded grid
     (interior cells are V[1:-1]) and the energy flux at the nx+1 interior
-    interfaces, for r = semidiscrete_rhs(basis, field, scheme, g)."""
+    interfaces, for solved = velocity(basis, field) and
+    r = semidiscrete_rhs(basis, solved, scheme, g)."""
+    vel, field = solved
     hp, up, Bp = (
         pad_ghosts(a, field.ghost_policy)[1 : field.nx + 3]
-        for a in (field.h, r.velocity.u, field.bottom)
+        for a in (field.h, vel.u, field.bottom)
     )
     V = entropy_vars_at(basis, hp, up, Bp, g)
     return V, interface_energy_flux(basis, hp, up, Bp, r.fluxes, g)
 
 
-def state_energy(basis, state, bottom, g):
-    """sgswe.entropy.energy at the exact velocity of state."""
-    return energy(state, bottom, g, exact_u(basis, state))
+def state_energy(basis, h, q, bottom, g):
+    """sgswe.entropy.energy at the exact velocity of (h, q)."""
+    return energy(h, q, bottom, g, exact_u(basis, h, q))
 
 
-def flux_jacobian(basis, state, g):
+def flux_jacobian(basis, h, q, g):
     """Flux Jacobian dF/dU in K x K blocks:
 
         [ O                                I                    ]
@@ -194,29 +199,27 @@ def flux_jacobian(basis, state, g):
 
     with P^{-1}(h) built from the eigenpairs of P(h).
     """
-    Ph = p_operator(basis, state.h)
+    Ph = p_operator(basis, h)
     pi, Q = np.linalg.eigh(Ph)
     Pinv = (Q / pi[..., None, :]) @ np.swapaxes(Q, -1, -2)
-    u = _mv(Pinv, state.q)
-    Pq = p_operator(basis, state.q)
+    u = _mv(Pinv, q)
+    Pq = p_operator(basis, q)
     Pu = p_operator(basis, u)
     PqPinv = Pq @ Pinv
     K = basis.K
-    J = np.zeros(state.h.shape[:-1] + (2 * K, 2 * K))
+    J = np.zeros(h.shape[:-1] + (2 * K, 2 * K))
     J[..., :K, K:] = np.eye(K)
     J[..., K:, :K] = g * Ph - PqPinv @ Pu
     J[..., K:, K:] = PqPinv + Pu
     return J
 
 
-def hessian_quadform(basis, state, g, w1, w2, u=None):
+def hessian_quadform(basis, h, q, g, w1, w2):
     """w^T (d2E/dU2) w = g |w1|^2 + r^T P(h)^{-1} r with r = P(u) w1 - w2.
 
     Strictly positive for w != 0 whenever P(h) is SPD, so E is strictly
     convex there.
     """
-    if u is None:
-        u = exact_u(basis, state)
-    r = _mv(p_operator(basis, u), w1) - w2
-    x = spd_solve(p_operator(basis, state.h), r)
+    r = _mv(p_operator(basis, exact_u(basis, h, q)), w1) - w2
+    x = spd_solve(p_operator(basis, h), r)
     return g * np.sum(w1 * w1, axis=-1) + np.sum(r * x, axis=-1)

@@ -71,8 +71,9 @@ def test_traced_results():
     cfg = SolverConfig(experiment="dam_break_flat", K=3, nx=8)
     basis = build_basis(cfg.K)
     field = build_experiment(cfg, basis)
-    flags = velocity(basis, field.state, field.dx)[0].desingularized
+    flags = velocity(basis, field)[0].desingularized
     assert flags.shape == (cfg.nx,) and flags.dtype == bool
-    step = ssp_rk3_step(basis, field, SchemeKind.ES2, cfg.g, cfg.cfl, 0.0, cfg.t_final)
+    T = cfg.t_final
+    step = ssp_rk3_step(basis, velocity(basis, field), SchemeKind.ES2, cfg.g, cfg.cfl, 0.0, T, T)
     assert isinstance(step.restarts, int)
     assert 0.0 < step.dt <= 0.9 * step.lam

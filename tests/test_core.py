@@ -7,7 +7,6 @@ import pytest
 
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import (
-    CellState,
     Field,
     pad_ghosts,
     project_bottom,
@@ -16,71 +15,102 @@ from sgswe.core import (
 )
 from sgswe.errors import HyperbolicityError
 
-from conftest import flux_jacobian, physical_flux, random_hyperbolic_state, random_state_batch
+from conftest import (
+    exact_u,
+    flux_jacobian,
+    physical_flux,
+    random_hyperbolic_state,
+    random_state_batch,
+)
+
+
+def _assert_same_grid(out, field):
+    """out is field with, at most, a new discharge."""
+    assert out.h is field.h and out.bottom is field.bottom
+    assert (out.dx, out.x_left, out.ghost_policy) == (field.dx, field.x_left, field.ghost_policy)
 
 
 def test_velocity_exact_inverse(basis9):
     rng = np.random.default_rng(0)
-    st = random_state_batch(rng, 20, 9)
-    vel, out = velocity(basis9, st, 0.0)
-    resid = np.einsum("bij,bj->bi", p_operator(basis9, st.h), vel.u) - st.q
+    h, q = random_state_batch(rng, 20, 9)
+    fld = Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.05, x_left=-1.0, ghost_policy="periodic")
+    vel, out = velocity(basis9, fld)
+    resid = np.einsum("bij,bj->bi", p_operator(basis9, h), vel.u) - q
     assert np.max(np.abs(resid)) <= 1e-12
-    assert not vel.desingularized.any()
-    assert out.q is st.q  # exact path leaves the discharge untouched
+    assert vel.desingularized.shape == (20,) and not vel.desingularized.any()
+    _assert_same_grid(out, fld)
+    assert out.q is fld.q  # exact path leaves the discharge untouched
+
+
+def _k1_field(h, q, eps):
+    """Three K = 1 cells on a grid with dx = eps: P(h) is the scalar h, so
+    each cell's eigenvalue is its height."""
+    h, q = np.array(h, dtype=float)[:, None], np.array(q, dtype=float)[:, None]
+    return Field(h=h, q=q, bottom=np.zeros_like(h), dx=eps, x_left=0.0)
 
 
 def test_velocity_regularization_formula_value():
-    # K = 1: P(h) is the scalar h, so the eigenvalue is pi = h directly.
     basis = build_basis(1)
     eps = 0.01
-    st = CellState(h=np.array([eps / 2.0]), q=np.array([1.0]))
-    vel, out = velocity(basis, st, eps)
+    fld = _k1_field([eps / 2.0, 0.5, 0.5], [1.0, 0.3, 0.3], eps)
+    vel, out = velocity(basis, fld)
     pi_reg = eps * math.sqrt(34.0) / 4.0  # sqrt(pi^4 + eps^4)/(sqrt(2) pi) at pi = eps/2
-    assert vel.u[0] == pytest.approx(1.0 / pi_reg, rel=1e-14)
-    assert vel.desingularized.all()
-    # discharge recomputed as P(h) u
-    assert out.q[0] == pytest.approx((eps / 2.0) * vel.u[0], rel=1e-14)
+    assert vel.u[0, 0] == pytest.approx(1.0 / pi_reg, rel=1e-14)
+    assert vel.desingularized.tolist() == [True, False, False]
+    # discharge recomputed as P(h) u in the regularized cell only
+    assert out.q[0, 0] == pytest.approx((eps / 2.0) * vel.u[0, 0], rel=1e-14)
+    assert np.array_equal(out.q[1:], fld.q[1:])
+    assert fld.q[0, 0] == 1.0  # the input field is not modified
+    _assert_same_grid(out, fld)
 
 
 def test_velocity_threshold_inactive_above_eps():
     basis = build_basis(1)
-    st = CellState(h=np.array([0.5]), q=np.array([0.3]))
-    vel, out = velocity(basis, st, 0.01)
-    assert vel.u[0] == 0.3 / 0.5
+    fld = _k1_field([0.5, 0.5, 0.5], [0.3, 0.3, 0.3], 0.01)
+    vel, out = velocity(basis, fld)
+    assert np.all(vel.u == 0.3 / 0.5)
     assert not vel.desingularized.any()
-    assert out.q[0] == 0.3
+    assert out.q is fld.q
+    # the threshold is the grid's: the same cells on a grid with dx > h are lifted
+    coarse = _k1_field([0.5, 0.5, 0.5], [0.3, 0.3, 0.3], 0.6)
+    assert velocity(basis, coarse)[0].desingularized.all()
 
 
 def test_velocity_raises_on_hyperbolicity_loss(basis4):
-    st = CellState(h=np.array([-1.0, 0.0, 0.0, 0.0]), q=np.zeros(4))
-    with pytest.raises(HyperbolicityError):
-        velocity(basis4, st, 0.0)
+    rng = np.random.default_rng(6)
+    h, q = random_state_batch(rng, 8, 4)
+    h[5] = [-1.0, 0.0, 0.0, 0.0]
+    fld = Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.01, x_left=0.0)
+    with pytest.raises(HyperbolicityError) as info:
+        velocity(basis4, fld)
+    assert info.value.cell == 5  # the interior cell of the 8-cell field
+    assert info.value.detail < 0.0
 
 
 def test_physical_flux_blocks(basis4):
     rng = np.random.default_rng(1)
-    st = random_hyperbolic_state(rng, 4)
-    F = physical_flux(basis4, st, 2.0)
-    assert np.array_equal(F[:4], st.q)
-    u = velocity(basis4, st, 0.0)[0].u
-    expected = p_operator(basis4, st.q) @ u + 0.5 * 2.0 * p_operator(basis4, st.h) @ st.h
+    h, q = random_hyperbolic_state(rng, 4)
+    F = physical_flux(basis4, h, q, 2.0)
+    assert np.array_equal(F[:4], q)
+    u = exact_u(basis4, h, q)
+    expected = p_operator(basis4, q) @ u + 0.5 * 2.0 * p_operator(basis4, h) @ h
     assert np.max(np.abs(F[4:] - expected)) <= 1e-13
 
 
 def test_flux_jacobian_matches_finite_differences(basis4):
     rng = np.random.default_rng(2)
     g = 1.3
-    st = random_hyperbolic_state(rng, 4)
-    J = flux_jacobian(basis4, st, g)
-    U = np.concatenate([st.h, st.q])
+    h, q = random_hyperbolic_state(rng, 4)
+    J = flux_jacobian(basis4, h, q, g)
+    U = np.concatenate([h, q])
     fd = np.empty((8, 8))
     delta = 1e-7
     for j in range(8):
         up, dn = U.copy(), U.copy()
         up[j] += delta
         dn[j] -= delta
-        Fp = physical_flux(basis4, CellState(up[:4], up[4:]), g)
-        Fm = physical_flux(basis4, CellState(dn[:4], dn[4:]), g)
+        Fp = physical_flux(basis4, up[:4], up[4:], g)
+        Fm = physical_flux(basis4, dn[:4], dn[4:], g)
         fd[:, j] = (Fp - Fm) / (2.0 * delta)
     assert np.max(np.abs(J - fd)) / np.max(np.abs(J)) <= 1e-6
 
@@ -89,32 +119,31 @@ def test_symmetrizer_diagonalizes_jacobian(basis9):
     rng = np.random.default_rng(3)
     g = 1.0
     for _ in range(10):
-        st = random_hyperbolic_state(rng, 9)
-        u = velocity(basis9, st, 0.0)[0].u
-        T, lam = symmetrizer_eig(basis9, st.h, u, g)
+        h, q = random_hyperbolic_state(rng, 9)
+        u = exact_u(basis9, h, q)
+        T, lam = symmetrizer_eig(basis9, h, u, g)
         # Jacobian at the intermediate state (h, P(h) u)
-        q_tilde = p_operator(basis9, st.h) @ u
-        J = flux_jacobian(basis9, CellState(st.h, q_tilde), g)
+        q_tilde = p_operator(basis9, h) @ u
+        J = flux_jacobian(basis9, h, q_tilde, g)
         rec = (T * lam) @ np.linalg.inv(T)
         assert np.max(np.abs(rec - J)) / np.max(np.abs(J)) <= 1e-9
 
 
 def test_symmetrizer_diffusion_operator_psd(basis4):
     rng = np.random.default_rng(4)
-    st = random_hyperbolic_state(rng, 4)
-    u = velocity(basis4, st, 0.0)[0].u
-    T, lam = symmetrizer_eig(basis4, st.h, u, 1.0)
+    h, q = random_hyperbolic_state(rng, 4)
+    T, lam = symmetrizer_eig(basis4, h, exact_u(basis4, h, q), 1.0)
     Q = (T * np.abs(lam)) @ T.T
     assert np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) >= -1e-12
 
 
 def test_symmetrizer_batched_matches_single(basis4):
     rng = np.random.default_rng(5)
-    st = random_state_batch(rng, 6, 4)
-    u = velocity(basis4, st, 0.0)[0].u
-    T, lam = symmetrizer_eig(basis4, st.h, u, 1.0)
+    h, q = random_state_batch(rng, 6, 4)
+    u = exact_u(basis4, h, q)
+    T, lam = symmetrizer_eig(basis4, h, u, 1.0)
     for i in range(6):
-        Ti, lami = symmetrizer_eig(basis4, st.h[i], u[i], 1.0)
+        Ti, lami = symmetrizer_eig(basis4, h[i], u[i], 1.0)
         assert np.max(np.abs(T[i] - Ti)) <= 1e-12
         assert np.max(np.abs(lam[i] - lami)) <= 1e-12
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from sgswe.basis import p_operator
-from sgswe.core import CellState, velocity
 
 from conftest import (
     energy_flux,
+    exact_u,
     energy_potential,
     entropy_variables,
     flux_jacobian,
@@ -34,14 +34,14 @@ def test_entropy_variables_are_energy_gradient(basis9):
     g = 1.0
     K = 9
     for _ in range(10):
-        st = random_hyperbolic_state(rng, K)
+        h, q = random_hyperbolic_state(rng, K)
         B = 0.1 * rng.standard_normal(K)
 
         def E_of(U):
-            return float(state_energy(basis9, CellState(U[:K], U[K:]), B, g))
+            return float(state_energy(basis9, U[:K], U[K:], B, g))
 
-        U = np.concatenate([st.h, st.q])
-        V = entropy_variables(basis9, st, B, g)
+        U = np.concatenate([h, q])
+        V = entropy_variables(basis9, h, q, B, g)
         fd = _fd_gradient(E_of, U)
         assert np.max(np.abs(V - fd)) / np.max(np.abs(V)) <= 1e-6
 
@@ -50,17 +50,17 @@ def test_hessian_quadform_matches_fd(basis9):
     rng = np.random.default_rng(1)
     g = 1.0
     K = 9
-    st = random_hyperbolic_state(rng, K)
+    h, q = random_hyperbolic_state(rng, K)
     w1 = rng.standard_normal(K)
     w2 = rng.standard_normal(K)
-    quad = float(hessian_quadform(basis9, st, g, w1, w2))
+    quad = float(hessian_quadform(basis9, h, q, g, w1, w2))
     w = np.concatenate([w1, w2])
-    U = np.concatenate([st.h, st.q])
+    U = np.concatenate([h, q])
     delta = 1e-4
     zero = np.zeros(K)
 
     def E_of(U_):
-        return float(state_energy(basis9, CellState(U_[:K], U_[K:]), zero, g))
+        return float(state_energy(basis9, U_[:K], U_[K:], zero, g))
 
     fd = (E_of(U + delta * w) - 2.0 * E_of(U) + E_of(U - delta * w)) / delta**2
     assert quad == pytest.approx(fd, rel=1e-4)
@@ -70,26 +70,26 @@ def test_hessian_quadform_matches_fd(basis9):
 def test_hessian_quadform_strictly_positive(basis4):
     rng = np.random.default_rng(2)
     for _ in range(30):
-        st = random_hyperbolic_state(rng, 4)
+        h, q = random_hyperbolic_state(rng, 4)
         w1 = rng.standard_normal(4)
         w2 = rng.standard_normal(4)
-        assert float(hessian_quadform(basis4, st, 1.0, w1, w2)) > 0.0
+        assert float(hessian_quadform(basis4, h, q, 1.0, w1, w2)) > 0.0
 
 
 def test_potential_identity(basis9):
     rng = np.random.default_rng(3)
     g = 1.0
     for _ in range(20):
-        st = random_hyperbolic_state(rng, 9)
+        h, q = random_hyperbolic_state(rng, 9)
         B = 0.2 * rng.standard_normal(9)
-        V = entropy_variables(basis9, st, B, g)
-        F = physical_flux(basis9, st, g)
-        H = energy_flux(basis9, st, B, g)
-        Psi = energy_potential(basis9, st, g)
+        V = entropy_variables(basis9, h, q, B, g)
+        F = physical_flux(basis9, h, q, g)
+        H = energy_flux(basis9, h, q, B, g)
+        Psi = energy_potential(basis9, h, q, g)
         assert abs(float(V @ F) - float(H) - float(Psi)) <= 1e-11
         # closed form of the potential
-        u = velocity(basis9, st, 0.0)[0].u
-        closed = 0.5 * g * float(u @ (p_operator(basis9, st.h) @ st.h))
+        u = exact_u(basis9, h, q)
+        closed = 0.5 * g * float(u @ (p_operator(basis9, h) @ h))
         assert float(Psi) == pytest.approx(closed, rel=1e-13)
 
 
@@ -99,15 +99,15 @@ def test_flat_bottom_compatibility(basis9):
     g = 1.0
     K = 9
     for _ in range(5):
-        st = random_hyperbolic_state(rng, K)
-        U = np.concatenate([st.h, st.q])
+        h, q = random_hyperbolic_state(rng, K)
+        U = np.concatenate([h, q])
         zero = np.zeros(K)
 
         def H1_of(U_):
-            return float(energy_flux(basis9, CellState(U_[:K], U_[K:]), zero, g))
+            return float(energy_flux(basis9, U_[:K], U_[K:], zero, g))
 
-        V1 = entropy_variables(basis9, st, zero, g)
-        J = flux_jacobian(basis9, st, g)
+        V1 = entropy_variables(basis9, h, q, zero, g)
+        J = flux_jacobian(basis9, h, q, g)
         lhs = V1 @ J
         fd = _fd_gradient(H1_of, U)
         assert np.max(np.abs(lhs - fd)) / np.max(np.abs(lhs)) <= 1e-5
@@ -115,13 +115,13 @@ def test_flat_bottom_compatibility(basis9):
 
 def test_flat_variants_drop_bottom_terms(basis4):
     rng = np.random.default_rng(5)
-    st = random_hyperbolic_state(rng, 4)
+    h, q = random_hyperbolic_state(rng, 4)
     B = 0.3 * rng.standard_normal(4)
     g = 1.0
     zero = np.zeros(4)
-    dE = float(state_energy(basis4, st, B, g) - state_energy(basis4, st, zero, g))
-    assert dE == pytest.approx(g * float(st.h @ B), rel=1e-14)
-    dV = entropy_variables(basis4, st, B, g) - entropy_variables(basis4, st, zero, g)
+    dE = float(state_energy(basis4, h, q, B, g) - state_energy(basis4, h, q, zero, g))
+    assert dE == pytest.approx(g * float(h @ B), rel=1e-14)
+    dV = entropy_variables(basis4, h, q, B, g) - entropy_variables(basis4, h, q, zero, g)
     assert np.max(np.abs(dV[:4] - g * B)) <= 1e-14
     assert np.max(np.abs(dV[4:])) == 0.0
 
@@ -131,9 +131,8 @@ def test_energy_batched(basis4):
     h = np.tile(np.array([1.2, 0.05, 0.0, -0.01]), (5, 1))
     q = 0.1 * rng.standard_normal((5, 4))
     B = 0.1 * rng.standard_normal((5, 4))
-    st = CellState(h, q)
-    E = state_energy(basis4, st, B, 1.0)
+    E = state_energy(basis4, h, q, B, 1.0)
     assert E.shape == (5,)
     for i in range(5):
-        Ei = state_energy(basis4, CellState(h[i], q[i]), B[i], 1.0)
+        Ei = state_energy(basis4, h[i], q[i], B[i], 1.0)
         assert float(E[i]) == pytest.approx(float(Ei), rel=1e-13)

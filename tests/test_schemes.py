@@ -5,7 +5,7 @@ import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import CellState, Field, _p_eig, pad_ghosts, symmetrizer_eig, velocity
+from sgswe.core import Field, _p_eig, pad_ghosts, symmetrizer_eig, velocity
 from sgswe.errors import HyperbolicityError
 from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
 from sgswe.timestep import integrate, positivity_check
@@ -14,6 +14,7 @@ from conftest import (
     energy_flux,
     energy_potential,
     entropy_variables,
+    exact_u,
     grid_energy_pair,
     interface_energy_flux,
     physical_flux,
@@ -23,21 +24,20 @@ from conftest import (
 
 
 def _random_field(rng, nx, K, policy="outflow", bottom_scale=0.1):
-    st = random_state_batch(rng, nx, K)
+    h, q = random_state_batch(rng, nx, K)
     B = np.zeros((nx, K))
     x = np.linspace(0.0, 1.0, nx, endpoint=False)
     B[:, 0] = bottom_scale * (1.0 + np.sin(2.0 * np.pi * x))
     if K > 1:
         B[:, 1] = 0.3 * bottom_scale
-    return Field(h=st.h, q=st.q, bottom=B, dx=1.0 / nx, x_left=0.0, ghost_policy=policy)
+    return Field(h=h, q=q, bottom=B, dx=1.0 / nx, x_left=0.0, ghost_policy=policy)
 
 
 def _cells(basis, states, bottoms):
-    """h, u, B of cells listed along axis -2, velocities from the exact inverse."""
-    h = np.stack([s.h for s in states], axis=-2)
-    q = np.stack([s.q for s in states], axis=-2)
-    u = velocity(basis, CellState(h, q), 0.0)[0].u
-    return h, u, np.stack(bottoms, axis=-2)
+    """h, u, B of (h, q) states listed along axis -2, velocities from the
+    exact inverse."""
+    h, q = (np.stack(a, axis=-2) for a in zip(*states))
+    return h, exact_u(basis, h, q), np.stack(bottoms, axis=-2)
 
 
 def _stack(basis, states, bottoms, scheme, g):
@@ -61,7 +61,7 @@ def test_flux_consistency_all_schemes(basis9):
     g = 1.0
     st = random_hyperbolic_state(rng, 9)
     B = 0.1 * rng.standard_normal(9)
-    exact = physical_flux(basis9, st, g)
+    exact = physical_flux(basis9, *st, g)
     for scheme in SchemeKind:
         f = _stack(basis9, (st,) * 4, (B,) * 4, scheme, g).flux
         assert np.max(np.abs(f - exact)) <= 1e-12
@@ -75,12 +75,11 @@ def test_ec_condition_random_pairs(basis9):
         R = random_hyperbolic_state(rng, 9)
         bL, bR = 0.2 * rng.standard_normal(9), 0.2 * rng.standard_normal(9)
         F = _stack(basis9, (L, R), (bL, bR), SchemeKind.EC, g).flux[0]
-        uL = velocity(basis9, L, 0.0)[0].u
-        uR = velocity(basis9, R, 0.0)[0].u
-        jV = entropy_variables(basis9, R, bR, g) - entropy_variables(basis9, L, bL, g)
-        jPsi = float(energy_potential(basis9, R, g) - energy_potential(basis9, L, g))
+        uL, uR = exact_u(basis9, *L), exact_u(basis9, *R)
+        jV = entropy_variables(basis9, *R, bR, g) - entropy_variables(basis9, *L, bL, g)
+        jPsi = float(energy_potential(basis9, *R, g) - energy_potential(basis9, *L, g))
         jB = bR - bL
-        wb = g * float(jB @ (p_operator(basis9, 0.5 * (L.h + R.h)) @ (0.5 * (uL + uR))))
+        wb = g * float(jB @ (p_operator(basis9, 0.5 * (L[0] + R[0])) @ (0.5 * (uL + uR))))
         assert abs(float(jV @ F) - jPsi - wb) <= 1e-11
 
 
@@ -91,21 +90,21 @@ def _source(r, dx):
 
 def test_ec_source_flat_bottom_vanishes(basis4):
     rng = np.random.default_rng(2)
-    h = random_state_batch(rng, 3, 4).h
+    h = random_state_batch(rng, 3, 4)[0]
     b = np.tile(0.3 * rng.standard_normal(4), (3, 1))
     fld = Field(h=h, q=np.zeros((3, 4)), bottom=b, dx=0.1, x_left=0.0)
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, fld, scheme, 1.0)
+        r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
         assert np.max(np.abs(_source(r, fld.dx))) == 0.0
 
 
 def test_ec_source_matches_direct_formula(basis4):
     rng = np.random.default_rng(3)
     g, dx = 1.2, 0.05
-    h = random_state_batch(rng, 3, 4).h
+    h = random_state_batch(rng, 3, 4)[0]
     b = 0.2 * rng.standard_normal((3, 4))
     fld = Field(h=h, q=np.zeros((3, 4)), bottom=b, dx=dx, x_left=0.0)
-    S = _source(semidiscrete_rhs(basis4, fld, SchemeKind.EC, g), dx)[1]
+    S = _source(semidiscrete_rhs(basis4, velocity(basis4, fld), SchemeKind.EC, g), dx)[1]
     expect = -(0.5 * g / dx) * (
         p_operator(basis4, 0.5 * (h[1] + h[2])) @ (b[2] - b[1])
         + p_operator(basis4, 0.5 * (h[0] + h[1])) @ (b[1] - b[0])
@@ -127,7 +126,7 @@ def test_lake_at_rest_preserved(basis4, scheme, policy):
     h[:, 0] += 2.0
     fld = Field(h=h, q=np.zeros((nx, K)), bottom=B, dx=1.0 / nx, x_left=0.0,
                 ghost_policy=policy)
-    r = semidiscrete_rhs(basis4, fld, scheme, 1.0)
+    r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
     assert np.max(np.abs(r.rhs)) <= 1e-12
 
 
@@ -138,9 +137,7 @@ def test_es1_diffusion_dissipates(basis9):
         L = random_hyperbolic_state(rng, 9)
         R = random_hyperbolic_state(rng, 9)
         bL, bR = 0.1 * rng.standard_normal(9), 0.1 * rng.standard_normal(9)
-        uL = velocity(basis9, L, 0.0)[0].u
-        uR = velocity(basis9, R, 0.0)[0].u
-        jV = entropy_variables(basis9, R, bR, g) - entropy_variables(basis9, L, bL, g)
+        jV = entropy_variables(basis9, *R, bR, g) - entropy_variables(basis9, *L, bL, g)
         f_es1, f_ec = (
             _stack(basis9, (L, R), (bL, bR), scheme, g).flux[0]
             for scheme in (SchemeKind.ES1, SchemeKind.EC)
@@ -154,7 +151,7 @@ def test_es2_scaling_in_unit_interval(basis4):
     g = 1.0
     fld = _random_field(rng, 16, 4)
     hp, qp, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, fld.q, fld.bottom))
-    up = velocity(basis4, CellState(hp, qp), 0.0)[0].u
+    up = exact_u(basis4, hp, qp)
     V = np.concatenate(
         [-0.5 * np.einsum("nij,nj->ni", p_operator(basis4, up), up) + g * (hp + Bp), up],
         axis=-1,
@@ -181,11 +178,11 @@ def test_per_interface_matches_batched(basis4):
     rng = np.random.default_rng(8)
     g = 1.0
     fld = _random_field(rng, 12, 4)
-    hp, qp, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, fld.q, fld.bottom))
-    up = velocity(basis4, CellState(hp, qp), 0.0)[0].u
+    solved = velocity(basis4, fld)
+    hp, up, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, solved[0].u, fld.bottom))
     nx = fld.nx
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, fld, scheme, g)
+        r = semidiscrete_rhs(basis4, solved, scheme, g)
         for j in range(1, nx + 2):
             if scheme is SchemeKind.ES2:  # 4-cell stencil, limited middle interface
                 cells, mid = slice(j - 1, j + 3), 1
@@ -199,18 +196,12 @@ def test_per_interface_matches_batched(basis4):
 def test_pair_stack_matches_separate_pairs(basis4, scheme):
     rng = np.random.default_rng(14)
     n, g = 7, 1.0
-    L, R = random_state_batch(rng, n, 4), random_state_batch(rng, n, 4)
+    (hL, qL), (hR, qR) = random_state_batch(rng, n, 4), random_state_batch(rng, n, 4)
     BL, BR = 0.1 * rng.standard_normal((n, 4)), 0.1 * rng.standard_normal((n, 4))
-    stacked = _stack(basis4, (L, R), (BL, BR), scheme, g)
+    stacked = _stack(basis4, ((hL, qL), (hR, qR)), (BL, BR), scheme, g)
     assert stacked.flux.shape == (n, 1, 8)
     for i in range(n):
-        one = _stack(
-            basis4,
-            (CellState(L.h[i], L.q[i]), CellState(R.h[i], R.q[i])),
-            (BL[i], BR[i]),
-            scheme,
-            g,
-        )
+        one = _stack(basis4, ((hL[i], qL[i]), (hR[i], qR[i])), (BL[i], BR[i]), scheme, g)
         for name in ("flux", "Ph_bar"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
 
@@ -221,8 +212,7 @@ def test_hyperbolicity_error_names_interior_cell(basis4, policy):
     fld = _random_field(rng, 12, 4, policy=policy)
     fld.h[5] = [-1.0, 0.0, 0.0, 0.0]
     for call in (
-        lambda: semidiscrete_rhs(basis4, fld, SchemeKind.ES2, 1.0),
-        lambda: velocity(basis4, fld.state, fld.dx),
+        lambda: velocity(basis4, fld),
         lambda: integrate(basis4, fld, SchemeKind.ES2, 1.0, 0.45, 0.01),
     ):
         with pytest.raises(HyperbolicityError) as info:
@@ -239,7 +229,7 @@ def test_hyperbolicity_error_index_from_last_chunk(basis4, monkeypatch):
     fld.h[nx - 2] = [-1.0, 0.0, 0.0, 0.0]
     for call in (
         lambda: _p_eig(basis4, fld.h),
-        lambda: semidiscrete_rhs(basis4, fld, SchemeKind.ES2, 1.0),
+        lambda: velocity(basis4, fld),
     ):
         with pytest.raises(HyperbolicityError) as info:
             call()
@@ -252,7 +242,7 @@ def test_hyperbolicity_error_names_first_cell_of_a_run(basis4):
     fld.h[7:12] = [-1.0, 0.0, 0.0, 0.0]
     for call in (
         lambda: _p_eig(basis4, fld.h),
-        lambda: velocity(basis4, fld.state, fld.dx),
+        lambda: velocity(basis4, fld),
     ):
         with pytest.raises(HyperbolicityError) as info:
             call()
@@ -263,7 +253,7 @@ def test_conservation_telescopes(basis4):
     rng = np.random.default_rng(9)
     fld = _random_field(rng, 20, 4)
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, fld, scheme, 1.0)
+        r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
         total = fld.dx * np.sum(r.rhs[:, :4], axis=0)
         boundary = -(r.fluxes[-1, :4] - r.fluxes[0, :4])
         assert np.max(np.abs(total - boundary)) <= 1e-12
@@ -273,7 +263,7 @@ def test_conservation_periodic_both_blocks(basis4):
     rng = np.random.default_rng(10)
     fld = _random_field(rng, 20, 4, policy="periodic", bottom_scale=0.0)
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, fld, scheme, 1.0)
+        r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
         assert np.max(np.abs(np.sum(r.rhs, axis=0))) <= 1e-11
 
 
@@ -285,17 +275,18 @@ def test_numerical_energy_flux_consistency(basis9):
     h, u, Bs = _cells(basis9, (st, st), (B, B))
     F = interface_flux(basis9, h, u, Bs, SchemeKind.EC, g).flux
     H = interface_energy_flux(basis9, h, u, Bs, F, g)
-    assert float(H[0]) == pytest.approx(float(energy_flux(basis9, st, B, g)), rel=1e-12)
+    assert float(H[0]) == pytest.approx(float(energy_flux(basis9, *st, B, g)), rel=1e-12)
 
 
 def test_cellwise_energy_balance(basis4):
     rng = np.random.default_rng(12)
     fld = _random_field(rng, 16, 4)
     g = 1.0
-    f_ec = semidiscrete_rhs(basis4, fld, SchemeKind.EC, g).fluxes
+    solved = velocity(basis4, fld)
+    f_ec = semidiscrete_rhs(basis4, solved, SchemeKind.EC, g).fluxes
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, fld, scheme, g)
-        V, H = grid_energy_pair(basis4, fld, r, g)
+        r = semidiscrete_rhs(basis4, solved, scheme, g)
+        V, H = grid_energy_pair(basis4, solved, r, g)
         rate = np.sum(V[1:-1] * r.rhs, axis=-1)
         div = (H[1:] - H[:-1]) / fld.dx
         if scheme is SchemeKind.EC:

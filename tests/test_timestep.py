@@ -93,14 +93,13 @@ def test_cfl_dt_still_water_value():
     basis = build_basis(1)
     fld = Field(h=np.ones((8, 1)), q=np.zeros((8, 1)), bottom=np.zeros((8, 1)),
                 dx=0.01, x_left=0.0)
-    vel, _ = velocity(basis, fld.state, fld.dx)
-    assert cfl_dt(basis, fld, 1.0, 0.45, vel) == pytest.approx(0.0045, rel=1e-12)
+    assert cfl_dt(basis, velocity(basis, fld), 1.0, 0.45) == pytest.approx(0.0045, rel=1e-12)
 
 
 def test_lake_at_rest_is_a_fixed_point():
     basis = build_basis(3)
     fld = _lake_field(basis, 24)
-    step = ssp_rk3_step(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.0, 1.0)
+    step = ssp_rk3_step(basis, velocity(basis, fld), SchemeKind.ES2, 1.0, 0.45, 0.0, 1.0, 1.0)
     assert np.max(np.abs(step.field.h - fld.h)) <= 1e-12
     assert np.max(np.abs(step.field.q)) <= 1e-12
     assert step.restarts == 0
@@ -116,7 +115,8 @@ def test_rk3_fixed_third_order_in_time():
         # cfl = inf lifts the CFL bound, so the targets T k / n set every dt
         out, t = fld, 0.0
         for k in range(1, n + 1):
-            step = ssp_rk3_step(basis, out, SchemeKind.EC, 1.0, np.inf, t, T, T * k / n)
+            solved = velocity(basis, out)
+            step = ssp_rk3_step(basis, solved, SchemeKind.EC, 1.0, np.inf, t, T, T * k / n)
             assert step.restarts == 0
             out, t = step.field, step.t
         return out
@@ -134,9 +134,9 @@ def test_rk3_fixed_third_order_in_time():
 def test_adaptive_step_respects_cfl_and_positivity():
     basis = build_basis(3)
     fld = _sine_field(basis, 32)
-    step = ssp_rk3_step(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.0, 1.0)
-    vel, _ = velocity(basis, fld.state, fld.dx)
-    assert step.dt <= cfl_dt(basis, fld, 1.0, 0.45, vel) + 1e-15
+    solved = velocity(basis, fld)
+    step = ssp_rk3_step(basis, solved, SchemeKind.ES2, 1.0, 0.45, 0.0, 1.0, 1.0)
+    assert step.dt <= cfl_dt(basis, solved, 1.0, 0.45) + 1e-15
     assert step.dt <= 0.9 * step.lam
     assert min_node_height(basis, step.field) > 0.0
 
@@ -145,7 +145,7 @@ def test_step_clamps_to_target():
     basis = build_basis(2)
     fld = _sine_field(basis, 16)
     target = 1e-4
-    step = ssp_rk3_step(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.0, 1.0, t_target=target)
+    step = ssp_rk3_step(basis, velocity(basis, fld), SchemeKind.EC, 1.0, 0.45, 0.0, 1.0, target)
     assert step.t == pytest.approx(target, abs=1e-18)
 
 
@@ -154,7 +154,7 @@ def test_dt_underflow_raises():
     fld = _sine_field(basis, 16)
     # huge horizon makes the floor 1e-14 t_final exceed any feasible dt
     with pytest.raises(DtUnderflowError):
-        ssp_rk3_step(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.0, 1e20)
+        ssp_rk3_step(basis, velocity(basis, fld), SchemeKind.EC, 1.0, 0.45, 0.0, 1e20, 1e20)
 
 
 def test_blow_up_detected():
@@ -162,7 +162,7 @@ def test_blow_up_detected():
     fld = _sine_field(basis, 16)
     fld.q[5, 0] = np.inf
     with pytest.raises(BlowUpError):
-        ssp_rk3_step(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.0, 1.0)
+        ssp_rk3_step(basis, velocity(basis, fld), SchemeKind.EC, 1.0, 0.45, 0.0, 1.0, 1.0)
 
 
 def test_integrate_hits_snapshots_exactly():
@@ -178,6 +178,22 @@ def test_integrate_hits_snapshots_exactly():
     times = [r.t for r in records]
     assert 0.011 in times and times[-1] == 0.02
     assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize(
+    "t_final, snapshot_times",
+    [(0.01, (1e-13, 0.01)), (0.01, (0.0, 1e-13)), (1e-13, (1e-13,)), (1e-13, ())],
+)
+def test_integrate_snapshots_inside_the_time_tolerance(t_final, snapshot_times):
+    # times within 1e-12 of 0 are written from the initial field under their
+    # own time, and only when requested
+    basis = build_basis(2)
+    fld = _sine_field(basis, 16)
+    seen = []
+    integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, t_final, snapshot_times=snapshot_times,
+              on_snapshot=lambda t, f: seen.append((t, f)))
+    assert [t for t, _ in seen] == sorted(snapshot_times)
+    assert all(f is fld for t, f in seen if t <= 1e-12)
 
 
 def test_integrate_record_invariants():
@@ -204,9 +220,9 @@ def test_total_energy_matches_hand_sum():
     fld = _lake_field(basis, 12)
     from sgswe.entropy import energy
 
-    vel, st = velocity(basis, fld.state, fld.dx)
-    e = energy(st, fld.bottom, 1.0, vel.u)
-    assert total_energy(basis, fld, 1.0) == pytest.approx(fld.dx * float(np.sum(e)), rel=1e-14)
+    vel, out = velocity(basis, fld)
+    e = energy(out.h, out.q, out.bottom, 1.0, vel.u)
+    assert total_energy((vel, out), 1.0) == pytest.approx(fld.dx * float(np.sum(e)), rel=1e-14)
 
 
 def test_near_dry_run_restarts_and_stays_positive():
@@ -259,32 +275,20 @@ def test_record_energy_is_standalone_total_energy(monkeypatch, scheme):
     _, records = integrate(basis, fld, scheme, 1.0, 0.45, 0.05, snapshot_times=(0.011,))
     assert len(states) == len(records)
     for rec, state in zip(records, states):
-        assert rec.energy == total_energy(basis, state, 1.0)
+        assert rec.energy == total_energy(velocity(basis, state), 1.0)
 
 
 def test_cfl_dt_with_passed_velocity_is_bitwise():
     basis = build_basis(4)
     rng = np.random.default_rng(21)
-    st = random_state_batch(rng, 30, 4)
-    fld = Field(h=st.h, q=st.q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
-    vel, _ = velocity(basis, fld.state, fld.dx)
-    assert not vel.desingularized.any()
+    h, q = random_state_batch(rng, 30, 4)
+    fld = Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
+    solved = velocity(basis, fld)
+    assert not solved[0].desingularized.any()
     # the bound as computed with its own P(h) eigensolve
-    _, lam = symmetrizer_eig(basis, fld.h, vel.u, 1.0)
+    _, lam = symmetrizer_eig(basis, fld.h, solved[0].u, 1.0)
     expected = 0.45 * fld.dx / float(np.max(np.abs(lam)))
-    assert cfl_dt(basis, fld, 1.0, 0.45, vel) == expected
-
-
-@pytest.mark.parametrize("scheme", list(SchemeKind))
-@pytest.mark.parametrize("make_field", [_sine_field, _dam_break_field])
-def test_step_with_passed_solve_is_bitwise(scheme, make_field):
-    basis = build_basis(3)
-    fld = make_field(basis, 40)
-    solved = velocity(basis, fld.state, fld.dx)
-    a = ssp_rk3_step(basis, fld, scheme, 1.0, 0.45, 0.0, 1.0)
-    b = ssp_rk3_step(basis, fld, scheme, 1.0, 0.45, 0.0, 1.0, solved=solved)
-    assert (a.t, a.dt, a.lam, a.restarts) == (b.t, b.dt, b.lam, b.restarts)
-    assert np.array_equal(a.field.h, b.field.h) and np.array_equal(a.field.q, b.field.q)
+    assert cfl_dt(basis, solved, 1.0, 0.45) == expected
 
 
 def test_integrate_es2_chunked_eigensolves_bitwise(monkeypatch, pool):
