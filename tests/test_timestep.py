@@ -4,15 +4,18 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgswe.core
 import sgswe.linalg
 import sgswe.timestep
-from sgswe.basis import build_basis
+from sgswe.basis import build_basis, p_operator
 from sgswe.core import Field, symmetrizer_eig, velocity
 from sgswe.errors import BlowUpError, DtUnderflowError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
+    _speed_bounds,
     cfl_dt,
     integrate,
     min_node_height,
@@ -241,7 +244,8 @@ def test_near_dry_run_restarts_and_stays_positive():
 def test_eigensolves_per_accepted_step(monkeypatch, scheme, k_per_step, k2_per_step):
     # one velocity solve per accepted state: 1 + 3n K x K for ec; es2 adds
     # one P(h_bar) solve per stage.  The 2K x 2K symmetrizer runs once per
-    # stage for es2 and once per step (CFL bound, solved in cfl_dt) for both.
+    # stage for es2 and once per step for both: cfl_dt's one call, which
+    # gets only the cells that can hold the largest spectral radius.
     basis = build_basis(3)
     calls = {3: 0, 6: 0}
     sym_eig = sgswe.linalg.sym_eig
@@ -278,17 +282,135 @@ def test_record_energy_is_standalone_total_energy(monkeypatch, scheme):
         assert rec.energy == total_energy(velocity(basis, state), 1.0)
 
 
-def test_cfl_dt_with_passed_velocity_is_bitwise():
-    basis = build_basis(4)
+def _near_eps_heights(rng, n, basis, lowest):
+    """n random height states whose smallest node height is lowest (shape (n,))."""
+    h = rng.standard_normal((n, basis.K)) * rng.uniform(0.0, 1.0)
+    h[:, 0] = 0.0
+    h[:, 0] = lowest - np.min(h @ basis.basis_table.T, axis=1)
+    return h
+
+
+def _cfl_states():
+    """(name, basis, field) states on which cfl_dt's prune must be exact."""
     rng = np.random.default_rng(21)
+    basis = build_basis(4)
     h, q = random_state_batch(rng, 30, 4)
+    yield "random", basis, Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
+    yield "dam break", basis, _dam_break_field(basis, 40)
+    # K = 1 cells a few ulps apart: both bounds equal |u| + sqrt(g h) up to
+    # rounding, so only the 1e-12 slack keeps the fastest cell
+    tie = np.random.default_rng(51)  # a draw on which the slack decides
+    ulps = 1.0 + tie.integers(-4, 5, (2, 16, 1)) * 2.0**-52
+    h0, q0 = 1.0 + tie.random(), tie.standard_normal()
+    yield "near tie", build_basis(1), Field(h=h0 * ulps[0], q=q0 * ulps[1],
+                                            bottom=np.zeros((16, 1)), dx=0.01, x_left=0.0)
+    # P(h) eigenvalues below eps = dx, as where a hump node dries
+    h = _near_eps_heights(rng, 30, basis, (1.0 / 30) * 10.0 ** rng.uniform(-2.0, 1.0, 30))
+    h[::5] = [0.2 / 30, 0.05 / 30, 0.0, 0.0]
+    q = rng.standard_normal((30, 4)) * h[:, :1]
+    yield "desingularized", basis, Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30,
+                                         x_left=0.0)
+    # cells 3 and 17 have a node height below 0 with P(h) still SPD; without
+    # the positivity condition their upper bounds would read 9.05 and 24.5,
+    # but cell 3's radius is 21.0 and cell 17's lower bound 18.8
+    h, q = random_state_batch(rng, 30, 4)
+    h[[3, 17]] = [[1.0, 0.437, 0.305, 0.606], [1.0, 0.159, -0.094, 0.331]]
+    u = np.array([[-0.947, -3.565, -0.453, 0.793], [1.07, -2.735, -7.578, -2.719]])
+    q[[3, 17]] = np.einsum("nij,nj->ni", p_operator(basis, h[[3, 17]]), u)
+    yield "nonpositive node", basis, Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30,
+                                           x_left=0.0)
+
+
+def test_cfl_dt_with_passed_velocity_is_bitwise():
+    seen = set()
+    for name, basis, fld in _cfl_states():
+        solved = velocity(basis, fld)
+        node_h = fld.h @ basis.basis_table.T
+        if np.any(solved[0].desingularized):
+            seen.add("desingularized")
+        if np.any(node_h <= 0.0):
+            seen.add("nonpositive node")
+            assert np.all(solved[0].pi > 0.0)
+        # the bound over every cell, with its own P(h) eigensolve
+        _, lam = symmetrizer_eig(basis, fld.h, solved[0].u, 1.0)
+        expected = 0.45 * fld.dx / float(np.max(np.abs(lam)))
+        assert cfl_dt(basis, solved, 1.0, 0.45) == expected, name
+    assert seen == {"desingularized", "nonpositive node"}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.sampled_from([1, 2, 3, 5, 9, 12]),
+    regime=st.sampled_from(["random", "clustered", "near eps"]),
+    g=st.sampled_from([1.0, 9.81]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
+    # cfl_dt prunes a cell when upper < (1 - 1e-12) max(lower), so both
+    # bounds must hold per cell to within that slack
+    basis = build_basis(K)
+    rng = np.random.default_rng(seed)
+    n, dx = 16, 0.01
+    if regime == "random":
+        h, q = random_state_batch(rng, n, K, h_mean=rng.uniform(0.5, 3.0),
+                                  spread=rng.uniform(0.0, 1.0), q_scale=rng.uniform(0.0, 10.0))
+    elif regime == "clustered":  # P(h) eigenvalues within 1e-6 of each other or closer
+        h = np.zeros((n, K))
+        h[:, 0] = rng.uniform(0.5, 2.0, n)
+        h[:, 1:] = 10.0 ** rng.uniform(-14.0, -6.0) * rng.standard_normal((n, K - 1))
+        q = rng.uniform(0.0, 3.0) * rng.standard_normal((n, K))
+    else:  # smallest node heights from 0.01 eps to 30 eps, eps = dx
+        h = _near_eps_heights(rng, n, basis, dx * 10.0 ** rng.uniform(-2.0, 1.5, n))
+        q = rng.uniform(0.0, 3.0) * rng.standard_normal((n, K)) * h[:, :1]
+    fld = Field(h=h, q=q, bottom=np.zeros((n, K)), dx=dx, x_left=0.0)
+    vel, _ = velocity(basis, fld)
+    lower, upper = _speed_bounds(basis, vel, h, g)
+    _, lam = symmetrizer_eig(basis, h, vel.u, g)
+    rho = np.max(np.abs(lam), axis=-1)
+    assert np.all(rho * (1.0 - 1e-12) <= upper)
+    assert np.all(lower * (1.0 - 1e-12) <= rho)
+    if K == 1:
+        exact = np.abs(vel.u[:, 0]) + np.sqrt(g * h[:, 0])
+        np.testing.assert_allclose(upper, exact, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(lower, exact, rtol=1e-14, atol=0.0)
+
+
+def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
+    basis = build_basis(3)
+    nx = 40
+    passed = []
+
+    def counted(A):
+        passed.append(len(A))
+        return sgswe.linalg.sym_eig(A)
+
+    monkeypatch.setattr(sgswe.timestep, "sym_eig", counted)
+    _, records = integrate(basis, _dam_break_field(basis, nx), SchemeKind.EC, 1.0, 0.45, 0.05)
+    assert len(passed) == len(records) - 1 >= 3
+    assert max(passed[1:]) < nx, passed
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cfl_dt_passes_a_non_finite_state_to_the_solver(monkeypatch, bad):
+    # a cell whose bound is not finite is kept, so the state reaches eigh,
+    # which fails on it as it does when every cell is solved
+    basis = build_basis(4)
+    h, q = random_state_batch(np.random.default_rng(5), 30, 4)
+    q[11, 2] = bad
     fld = Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
     solved = velocity(basis, fld)
-    assert not solved[0].desingularized.any()
-    # the bound as computed with its own P(h) eigensolve
-    _, lam = symmetrizer_eig(basis, fld.h, solved[0].u, 1.0)
-    expected = 0.45 * fld.dx / float(np.max(np.abs(lam)))
-    assert cfl_dt(basis, solved, 1.0, 0.45) == expected
+    with pytest.raises(np.linalg.LinAlgError):
+        symmetrizer_eig(basis, fld.h, solved[0].u, 1.0)
+    passed = []
+
+    def recorded(A):
+        passed.append(A)
+        return sgswe.linalg.sym_eig(A)
+
+    monkeypatch.setattr(sgswe.timestep, "sym_eig", recorded)
+    with pytest.raises(np.linalg.LinAlgError):
+        cfl_dt(basis, solved, 1.0, 0.45)
+    assert not np.all(np.isfinite(passed[0]))
 
 
 def test_integrate_es2_chunked_eigensolves_bitwise(monkeypatch, pool):
