@@ -104,6 +104,15 @@ def interface_flux(
     with (T, Lambda) the symmetrizer at (h_bar, u_bar), Pi = 0 for EC and
     Pi = 1 for ES1.  ES2 limits only interfaces that have a neighbour on
     each side; the outermost two keep Pi = 1.
+
+    diff is evaluated only at the active interfaces, those with
+    V_L != V_R; a still far field or a lake at rest has none.  This is
+    exact: with V_L == V_R the same T maps equal values, so T^T [[V]] and
+    diff are 0 at that interface, and ES2's neighbour ratios read the same
+    0 from the zero-filled jumps.  NaN compares unequal, so a non-finite
+    state stays active and still reaches the solver.  The P(h_bar)
+    definiteness check of symmetrizer_eig therefore runs only at active
+    interfaces; every cell's P(h) is still checked in core.velocity.
     """
     Phh = _mv(p_operator(basis, h), h)
     h_bar = 0.5 * (h[..., :-1, :] + h[..., 1:, :])
@@ -115,9 +124,11 @@ def interface_flux(
 
     if scheme is not SchemeKind.EC:
         V = _entropy_vars(basis, h, u, B, g)
-        T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
-        w_left = _mtv(T, V[..., :-1, :])
-        w_right = _mtv(T, V[..., 1:, :])
+        V_left, V_right = V[..., :-1, :], V[..., 1:, :]
+        act = np.any(V_right != V_left, axis=-1)
+        T, lam = symmetrizer_eig(basis, h_bar[act], u_bar[act], g)
+        w_left, w_right = np.zeros_like(F), np.zeros_like(F)
+        w_left[act], w_right[act] = _mtv(T, V_left[act]), _mtv(T, V_right[act])
         wjump = w_right - w_left
         weight = np.abs(lam)
         if scheme is SchemeKind.ES2:
@@ -129,8 +140,8 @@ def interface_flux(
                 w_left[..., 1:-1, :],
                 w_right[..., 1:-1, :],
             )
-            weight = weight * Pi
-        F = F - 0.5 * _mv(T, weight * wjump)
+            weight = weight * Pi[act]
+        F[act] -= 0.5 * _mv(T, weight * wjump[act])
     return InterfaceFlux(flux=F, Ph_bar=Ph_bar)
 
 

@@ -235,7 +235,8 @@ def integrate(
     accepted step, plus the initial record at t = 0.  Passing a records list
     makes it fill in place, so partial histories survive mid-run failures.
     Each accepted state's velocity is solved once: the solve gives the
-    record's energy and is the next step's stage-0 velocity.
+    record's energy and is the next step's stage-0 velocity.  A non-finite
+    initial field raises BlowUpError at t = 0.
     """
     for ts in snapshot_times:
         if ts < 0.0 or ts > t_final:
@@ -256,6 +257,7 @@ def integrate(
         records.append(StepRecord(t, dt, lam, restarts, e_total, min_node_height(basis, field)))
         return solved
 
+    _check_finite(field.h, field.q, 0.0)  # before velocity's solve can fail on it
     solved = record(field, 0.0, 0.0, np.inf, 0)
     for ts in targets:
         if ts <= tol and ts in wanted and on_snapshot is not None:

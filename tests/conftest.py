@@ -5,9 +5,10 @@ import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import pad_ghosts
-from sgswe.entropy import energy
-from sgswe.linalg import sym_eig
+from sgswe.core import pad_ghosts, symmetrizer_eig
+from sgswe.entropy import _entropy_vars, energy
+from sgswe.linalg import _mtv, sym_eig
+from sgswe.schemes import SchemeKind, _es2_pi, interface_flux
 
 
 @pytest.fixture(scope="session")
@@ -170,6 +171,28 @@ def interface_energy_flux(basis, h, u, B, F, g):
         - 0.5 * (psi[..., :-1] + psi[..., 1:])
         - 0.25 * g * np.sum(jB * _mv(Ph_bar, ju), axis=-1)
     )
+
+
+def diffused_everywhere(basis, h, u, B, scheme, g):
+    """interface_flux(...).flux of the es1 or es2 scheme with the diffusion
+    T |Lambda| Pi T^T [[V]] assembled and subtracted at every interface,
+    [[V]] = 0 or not.  interface_flux skips the interfaces with [[V]] = 0;
+    this oracle, built from the same helpers, checks that the skip is
+    exact."""
+    F = interface_flux(basis, h, u, B, SchemeKind.EC, g).flux
+    V = _entropy_vars(basis, h, u, B, g)
+    T, lam = symmetrizer_eig(
+        basis, 0.5 * (h[..., :-1, :] + h[..., 1:, :]), 0.5 * (u[..., :-1, :] + u[..., 1:, :]), g
+    )
+    w_left, w_right = _mtv(T, V[..., :-1, :]), _mtv(T, V[..., 1:, :])
+    wjump = w_right - w_left
+    weight = np.abs(lam)
+    if scheme is SchemeKind.ES2:
+        Pi = np.ones_like(wjump)
+        Pi[..., 1:-1, :] = _es2_pi(wjump[..., :-2, :], wjump[..., 1:-1, :], wjump[..., 2:, :],
+                                   w_left[..., 1:-1, :], w_right[..., 1:-1, :])
+        weight = weight * Pi
+    return F - 0.5 * _mv(T, weight * wjump)
 
 
 def grid_energy_pair(basis, solved, r, g):

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgswe.linalg
+import sgswe.schemes
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import Field, _p_eig, pad_ghosts, symmetrizer_eig, velocity
 from sgswe.errors import HyperbolicityError
@@ -11,8 +14,10 @@ from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_r
 from sgswe.timestep import integrate, positivity_check
 
 from conftest import (
+    diffused_everywhere,
     energy_flux,
     energy_potential,
+    entropy_vars_at,
     entropy_variables,
     exact_u,
     grid_energy_pair,
@@ -128,6 +133,97 @@ def test_lake_at_rest_preserved(basis4, scheme, policy):
                 ghost_policy=policy)
     r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
     assert np.max(np.abs(r.rhs)) <= 1e-12
+
+
+def _dyadic_lake(rng, n, K):
+    """h, B of n cells at rest under the surface 2 over a random bottom.
+    Dyadic bottom coefficients keep h + B bitwise equal in every cell, so
+    [[V]] = 0 at each interface between them."""
+    B = rng.integers(-4, 5, (n, K)) / 128.0
+    B[:, 0] = rng.integers(-16, 17, n) / 128.0
+    h = -B
+    h[:, 0] += 2.0
+    return h, B
+
+
+def _mixed_stack(basis, rng):
+    """h, u, B of 17 cells whose 16 interfaces mix jumps in V with three
+    kinds of zero-jump run: one state over cells 2-5, a lake at rest over a
+    varying bottom in cells 7-11, and one copied cell (13-14) between two
+    active interfaces, whose ES2 ratios read its zero jump."""
+    K = basis.K
+    h, q = random_state_batch(rng, 17, K)
+    u = exact_u(basis, h, q)
+    B = 0.1 * rng.standard_normal((17, K))
+    for a in (h, u, B):
+        a[3:6] = a[2]
+        a[14] = a[13]
+    h[7:12], B[7:12] = _dyadic_lake(rng, 5, K)
+    u[7:12] = 0.0
+    return h, u, B
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.ES1, SchemeKind.ES2])
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_diffusion_skip_matches_every_interface_bitwise(scheme, K):
+    basis, g = build_basis(K), 1.0
+    h, u, B = _mixed_stack(basis, np.random.default_rng(19))
+    positivity_check(basis, h)
+    V = entropy_vars_at(basis, h, u, B, g)
+    zero = ~np.any(V[1:] != V[:-1], axis=-1)
+    assert np.array_equal(np.flatnonzero(zero), [2, 3, 4, 7, 8, 9, 10, 13])
+    # the same cells mirrored, as a second row of a (2, 17, K) stack
+    for cells in ((h, u, B), tuple(np.stack([a, a[::-1]]) for a in (h, u, B))):
+        f = interface_flux(basis, *cells, scheme, g).flux
+        assert np.array_equal(f, diffused_everywhere(basis, *cells, scheme, g))
+
+
+@pytest.mark.parametrize("policy", ["outflow", "periodic"])
+@pytest.mark.parametrize("scheme", [SchemeKind.ES1, SchemeKind.ES2])
+def test_lake_at_rest_solves_no_symmetrizer(basis4, monkeypatch, scheme, policy):
+    # every interface has [[V]] = 0, so the one symmetrizer_eig call of the
+    # stage gets an empty batch
+    h, B = _dyadic_lake(np.random.default_rng(20), 12, 4)
+    fld = Field(h=h, q=np.zeros((12, 4)), bottom=B, dx=1.0 / 12, x_left=0.0,
+                ghost_policy=policy)
+    batches = []
+
+    def recorded(basis, h_bar, u_bar, g):
+        batches.append(len(h_bar))
+        return symmetrizer_eig(basis, h_bar, u_bar, g)
+
+    monkeypatch.setattr(sgswe.schemes, "symmetrizer_eig", recorded)
+    r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
+    assert batches == [0]
+    assert np.max(np.abs(r.rhs)) <= 1e-12
+
+
+_BASES = {K: build_basis(K) for K in (1, 2, 3, 5)}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    K=st.sampled_from(sorted(_BASES)),
+    nx=st.integers(3, 16),
+    surface=st.floats(1.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lake_at_rest_preserved_on_random_bottoms(K, nx, surface, seed):
+    # random bottom, constant surface, q = 0; the modes k >= 1 are small
+    # enough to keep every node height above 0.6 - 4 * 0.04 * 3
+    basis, rng = _BASES[K], np.random.default_rng(seed)
+    B = rng.uniform(-0.04, 0.04, (nx, K))
+    B[:, 0] = rng.uniform(-0.4, 0.4, nx)
+    h = -B
+    h[:, 0] += surface
+    positivity_check(basis, h)
+    for policy in ("outflow", "periodic"):
+        fld = Field(h=h, q=np.zeros((nx, K)), bottom=B, dx=1.0 / nx, x_left=0.0,
+                    ghost_policy=policy)
+        solved = velocity(basis, fld)
+        for scheme in SchemeKind:
+            r = semidiscrete_rhs(basis, solved, scheme, 1.0)
+            assert np.max(np.abs(r.rhs)) <= 1e-12, (scheme, policy)
 
 
 def test_es1_diffusion_dissipates(basis9):
