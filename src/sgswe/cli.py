@@ -24,6 +24,7 @@ import numpy as np
 from .basis import PceBasis, build_basis, eval_basis, mean_variance
 from .core import Field, project_bottom, velocity
 from .errors import ConfigError, SolverError
+from .linalg import _run_starts
 from .schemes import SchemeKind, semidiscrete_rhs
 from .timestep import StepRecord, integrate, positivity_check
 
@@ -290,18 +291,19 @@ def _snapshot_name(t: float) -> str:
 
 def _write_csv(path: Path, header: list[str], columns: list):
     """One row per entry of the equal-length columns at %.17g, CRLF line
-    ends."""
-    # a handle, not a path: savetxt opens paths in text mode (\r\r\n on Windows)
+    ends (newline="" keeps them so on Windows), formatted by one %."""
+    table = np.column_stack(columns)
+    body = (",".join(["%.17g"] * table.shape[1]) + "\r\n") * len(table)
     with open(path, "w", newline="") as handle:
-        np.savetxt(handle, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   newline="\r\n", header=",".join(header), comments="")
+        handle.write(",".join(header) + "\r\n" + body % tuple(table.ravel().tolist()))
 
 
 def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
     """Snapshot CSV: per-cell mean/std/quantiles of surface and discharge.
 
-    Quantiles (0.5% and 99.5%) are taken over the surrogate evaluated at
-    1001 equispaced xi in [-1, 1].
+    *_q005 and *_q995 are np.quantile's linear 0.5% and 99.5% quantiles of the
+    surrogate at 1001 equispaced xi in [-1, 1]; their positions 5 and 995 are
+    integers, so they are the 6th and 996th smallest values (NaN if any is).
     """
     xi = np.linspace(-1.0, 1.0, 1001)
     table = eval_basis(xi, basis.K)  # (1001, K)
@@ -309,8 +311,11 @@ def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
     def stats(coeffs):
         mean, var = mean_variance(coeffs)
         vals = coeffs @ table.T
-        q005, q995 = np.quantile(vals, [0.005, 0.995], axis=-1)
-        return mean, np.sqrt(var), q005, q995
+        new = _run_starts(vals)  # one sort per run of bitwise-equal cells
+        srt = np.sort(vals[new], axis=-1)
+        lo, hi = srt[:, [5, 995]], srt[:, [6, 996]]  # np.quantile's lerp, weight 0: -0.0 -> 0.0
+        q = np.where(np.isnan(srt[:, 1000:]), np.nan, lo + (hi - lo) * 0.0)[np.cumsum(new) - 1]
+        return mean, np.sqrt(var), q[:, 0], q[:, 1]
 
     b_mean, b_var = mean_variance(field.bottom)
     header = ["x_center", "w_mean", "w_std", "w_q005", "w_q995",

@@ -96,16 +96,21 @@ def _eigh_split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([w for w, _ in solved]), np.concatenate([v for _, v in solved])
 
 
+def _run_starts(rows: np.ndarray) -> np.ndarray:
+    """True at row 0 of an (N, m) float array and at each row whose bytes differ
+    from the row before; == would merge -0.0 with 0.0 and split a NaN run."""
+    bits, new = rows.view(np.int64), np.ones(len(rows), dtype=bool)
+    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    return new
+
+
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = vectors @ diag(values) @ vectors^T of a
     symmetric matrix as (values, vectors), eigenvalues ascending."""
     S = _symmetrize(A)
     n = S.shape[-1]
     flat = S.reshape(-1, n, n)
-    # Bytes, not floats: == would merge -0.0 with 0.0 and split a NaN run.
-    bits = flat.reshape(len(flat), n * n).view(np.int64)
-    new = np.ones(len(flat), dtype=bool)
-    np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+    new = _run_starts(flat.reshape(len(flat), n * n))
     if new.all():  # the copies in and out would add 6-11% to this batch's solve
         values, vectors = _eigh_split(flat)
     else:

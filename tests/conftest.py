@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sgswe.linalg
-from sgswe.basis import build_basis, p_operator
+from sgswe.basis import build_basis, eval_basis, mean_variance, p_operator
 from sgswe.core import pad_ghosts, symmetrizer_eig
 from sgswe.entropy import _entropy_vars, energy
 from sgswe.linalg import _mtv, sym_eig
@@ -246,3 +246,40 @@ def hessian_quadform(basis, h, q, g, w1, w2):
     r = _mv(p_operator(basis, exact_u(basis, h, q)), w1) - w2
     x = spd_solve(p_operator(basis, h), r)
     return g * np.sum(w1 * w1, axis=-1) + np.sum(r * x, axis=-1)
+
+
+# Oracles of the CSV writers: per-cell quantiles from np.quantile over every
+# cell and rows formatted by np.savetxt.  The tests pin write_snapshot and
+# write_energy_series to their bytes.
+
+
+def _savetxt_csv(path, header, columns):
+    with open(path, "w", newline="") as handle:
+        np.savetxt(handle, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=",".join(header), comments="")
+
+
+def snapshot_oracle(basis, field, path):
+    """The snapshot CSV that sgswe.cli.write_snapshot must write, byte for byte."""
+    table = eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K)
+
+    def stats(coeffs):
+        mean, var = mean_variance(coeffs)
+        q005, q995 = np.quantile(coeffs @ table.T, [0.005, 0.995], axis=-1)
+        return mean, np.sqrt(var), q005, q995
+
+    b_mean, b_var = mean_variance(field.bottom)
+    header = ["x_center", "w_mean", "w_std", "w_q005", "w_q995",
+              "q_mean", "q_std", "q_q005", "q_q995", "B_mean", "B_std"]
+    _savetxt_csv(path, header, [field.x_centers, *stats(field.h + field.bottom),
+                                *stats(field.q), b_mean, np.sqrt(b_var)])
+
+
+def energy_series_oracle(records, path):
+    """The energy CSV that sgswe.cli.write_energy_series must write, byte for byte."""
+    cols = {name: [getattr(rec, name) for rec in records]
+            for name in ("t", "energy", "min_node_height", "restarts", "dt", "lam")}
+    e = np.array(cols["energy"])
+    header = ["t", "E_total", "relative_energy", "min_node_height", "restarts", "dt", "lam"]
+    _savetxt_csv(path, header, [cols["t"], e, (e - e[0]) / e, cols["min_node_height"],
+                                cols["restarts"], cols["dt"], cols["lam"]])

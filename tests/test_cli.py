@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest
 import sgswe
 from sgswe import (
     BlowUpError,
@@ -24,7 +25,10 @@ from sgswe import (
 )
 from sgswe.basis import eval_basis
 from sgswe.cli import main, run, run_checks, write_energy_series, write_snapshot
-from sgswe.timestep import StepRecord
+from sgswe.core import Field
+from sgswe.timestep import StepRecord, integrate
+
+from conftest import energy_series_oracle, snapshot_oracle
 
 
 def write_cfg(tmp_path: Path, text: str, name: str = "run.cfg") -> Path:
@@ -325,6 +329,134 @@ def test_write_energy_series_columns(tmp_path):
     empty = tmp_path / "none.csv"
     write_energy_series([], empty)
     assert not empty.exists()
+
+
+def _runs(a):
+    """Runs of bytewise-equal neighbouring rows."""
+    rows = [row.tobytes() for row in a]
+    return 1 + sum(x != y for x, y in zip(rows, rows[1:]))
+
+
+def _field(h, q, bottom=None):
+    return Field(h=h, q=q, bottom=np.zeros_like(h) if bottom is None else bottom,
+                 dx=0.05, x_left=-1.0)
+
+
+def _dam_break():
+    # the initial jump has spread over a few cells; both far fields stay
+    # long runs of equal cells
+    basis = build_basis(3)
+    cfg = SolverConfig(experiment="dam_break_flat", K=3, nx=64)
+    field, _ = integrate(basis, build_experiment(cfg, basis), SchemeKind.ES2, cfg.g, cfg.cfl, 0.02)
+    assert 2 < _runs(field.h) < 32 and 2 < _runs(field.q) < 32
+    return basis, field
+
+
+def _signed_zeros():
+    # rows that differ only in the sign of a zero coefficient, in h and in q
+    h, q = np.zeros((8, 3)), np.zeros((8, 3))
+    h[:, 0] = 1.0
+    h[2, 1] = h[5, 2] = -0.0
+    q[1] = q[3, :2] = q[6, 0] = -0.0
+    B = np.full_like(h, -0.0)  # h + B keeps the sign of h's zeros
+    assert _runs(h + B) == 5 and _runs(q) == 7
+    return build_basis(3), _field(h, q, B)
+
+
+def _k1():
+    # one mode: the 1001 node values of a cell are all equal
+    rng = np.random.default_rng(11)
+    h = 1.0 + rng.random((10, 1))
+    h[4:7] = h[3]
+    return build_basis(1), _field(h, rng.standard_normal((10, 1)), 0.1 * rng.random((10, 1)))
+
+
+def _distinct():
+    rng = np.random.default_rng(12)
+    h, q, B = 1.0 + rng.random((40, 5)), rng.standard_normal((40, 5)), rng.random((40, 5))
+    assert _runs(h + B) == _runs(q) == 40
+    return build_basis(5), _field(h, q, B)
+
+
+def _ends():
+    # one run inside, one odd cell at each end
+    rng = np.random.default_rng(13)
+    h = np.tile(1.0 + rng.random(4), (10, 1))
+    q = np.tile(rng.standard_normal(4), (10, 1))
+    h[0], h[-1], q[0], q[-1] = 1.5, 2.5, 0.5, -0.5
+    assert _runs(h) == _runs(q) == 3
+    return build_basis(4), _field(h, q)
+
+
+def _non_finite():
+    # a NaN coefficient, node values that overflow to +-inf, and an inf mode
+    rng = np.random.default_rng(14)
+    h, q = 1.0 + rng.random((8, 3)), rng.standard_normal((8, 3))
+    h[2, 1] = np.nan
+    q[4] = 1e308
+    q[5, 2] = -np.inf
+    return build_basis(3), _field(h, q)
+
+
+SNAPSHOT_CASES = {f.__name__[1:]: f for f in (_dam_break, _signed_zeros, _k1, _distinct,
+                                              _ends, _non_finite)}
+
+
+@pytest.mark.parametrize("case", SNAPSHOT_CASES)
+def test_write_snapshot_bytes_match_oracle(tmp_path, case):
+    basis, field = SNAPSHOT_CASES[case]()
+    with np.errstate(all="ignore"):
+        write_snapshot(basis, field, 0.0, tmp_path / "got.csv")
+        snapshot_oracle(basis, field, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_snapshot_nan_node_values_match_oracle(tmp_path, monkeypatch):
+    # two of the 1001 node values are NaN in every cell: the 6th and 996th
+    # smallest are finite, but np.quantile gives NaN
+    def nan_nodes(xi, K):
+        table = eval_basis(xi, K)
+        table[[0, 700]] = np.nan
+        return table
+
+    monkeypatch.setattr(sgswe.cli, "eval_basis", nan_nodes)
+    monkeypatch.setattr(conftest, "eval_basis", nan_nodes)
+    basis, field = _dam_break()
+    write_snapshot(basis, field, 0.0, tmp_path / "got.csv")
+    snapshot_oracle(basis, field, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert np.isnan(np.loadtxt(tmp_path / "got.csv", delimiter=",", skiprows=1)[:, 3]).all()
+
+
+def test_write_snapshot_quantiles_are_order_statistics(tmp_path):
+    # the 6th and 996th smallest of the 1001 surrogate values, with -0.0 as 0
+    basis, field = _distinct()
+    write_snapshot(basis, field, 0.0, tmp_path / "snap.csv")
+    got = np.loadtxt(tmp_path / "snap.csv", delimiter=",", skiprows=1)
+    vals = np.sort(field.q @ eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K).T, axis=-1)
+    assert np.array_equal(got[:, 7], vals[:, 5]) and np.array_equal(got[:, 8], vals[:, 995])
+    basis, field = _signed_zeros()
+    write_snapshot(basis, field, 0.0, tmp_path / "snap.csv")
+    got = np.loadtxt(tmp_path / "snap.csv", delimiter=",", skiprows=1)
+    assert np.all(np.signbit(got[:, 5]) == np.signbit(field.q[:, 0]))  # q_mean keeps -0
+    assert not np.signbit(got[:, [7, 8]]).any()
+
+
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_write_energy_series_bytes_match_oracle(tmp_path, n):
+    rng = np.random.default_rng(n)
+    special = [np.inf, np.nan, -0.0, 5e-324, -np.inf, 0.0]
+    values = np.concatenate([special, rng.standard_normal(n) * np.logspace(-300, 300, n)])
+    records = [
+        StepRecord(t=v, dt=values[i - 1], lam=values[i - 2], energy=e,
+                   min_node_height=-v, restarts=i)
+        for i, (v, e) in enumerate(zip(values[:n], rng.uniform(1.0, 5.0, n)))
+    ]
+    records[-1] = dataclasses.replace(records[-1], energy=-0.0)
+    with np.errstate(all="ignore"):
+        write_energy_series(records, tmp_path / "got.csv")
+        energy_series_oracle(records, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 TINY = """

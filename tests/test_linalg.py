@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sgswe.linalg
-from sgswe.linalg import _MIN_CHUNK, sym_eig
+from sgswe.linalg import _MIN_CHUNK, _run_starts, sym_eig
 
 from conftest import NotSPDError, distinct_eyes, spd_solve, spd_sqrt
 
@@ -183,6 +183,15 @@ def test_sym_eig_solves_signed_zeros_and_ulps_apart(solved):
     A = np.stack([base, neg, base, ulp, ulp])
     _assert_bitwise(A)
     assert solved == [4]
+
+
+def test_run_starts_compares_bytes():
+    # -0.0 starts a run of its own, NaN rows with one payload share one
+    rows = np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [np.nan, 1.0], [np.nan, 1.0],
+                     [np.nan, np.nextafter(1.0, 2.0)]])
+    assert _run_starts(rows).tolist() == [True, False, True, True, False, True]
+    assert _run_starts(rows[:1]).tolist() == [True]
+    assert _run_starts(rows[:0]).tolist() == []
 
 
 def test_sym_eig_nan_run_raises_like_serial(solved):

@@ -72,20 +72,55 @@ def test_flux_consistency_all_schemes(basis9):
         assert np.max(np.abs(f - exact)) <= 1e-12
 
 
+def _ec_residual(basis, L, R, bL, bR, g):
+    """[[V]].F - [[Psi]] - g [[B]].P(h_bar) u_bar of the ec flux between the
+    (h, q) states L and R over the bottoms bL and bR; zero for an
+    energy-conservative flux."""
+    F = _stack(basis, (L, R), (bL, bR), SchemeKind.EC, g).flux[0]
+    uL, uR = exact_u(basis, *L), exact_u(basis, *R)
+    jV = entropy_variables(basis, *R, bR, g) - entropy_variables(basis, *L, bL, g)
+    jPsi = float(energy_potential(basis, *R, g) - energy_potential(basis, *L, g))
+    wb = g * float((bR - bL) @ (p_operator(basis, 0.5 * (L[0] + R[0])) @ (0.5 * (uL + uR))))
+    return float(jV @ F) - jPsi - wb
+
+
 def test_ec_condition_random_pairs(basis9):
     rng = np.random.default_rng(1)
-    g = 1.0
     for _ in range(50):
         L = random_hyperbolic_state(rng, 9)
         R = random_hyperbolic_state(rng, 9)
         bL, bR = 0.2 * rng.standard_normal(9), 0.2 * rng.standard_normal(9)
-        F = _stack(basis9, (L, R), (bL, bR), SchemeKind.EC, g).flux[0]
-        uL, uR = exact_u(basis9, *L), exact_u(basis9, *R)
-        jV = entropy_variables(basis9, *R, bR, g) - entropy_variables(basis9, *L, bL, g)
-        jPsi = float(energy_potential(basis9, *R, g) - energy_potential(basis9, *L, g))
-        jB = bR - bL
-        wb = g * float(jB @ (p_operator(basis9, 0.5 * (L[0] + R[0])) @ (0.5 * (uL + uR))))
-        assert abs(float(jV @ F) - jPsi - wb) <= 1e-11
+        assert abs(_ec_residual(basis9, L, R, bL, bR, 1.0)) <= 1e-11
+
+
+_EC_BASES = {K: build_basis(K) for K in (1, 2, 3, 5, 9)}
+_EPS = 1.0 / 200  # core.velocity's eps = dx on the bundled 400-cell grids over [-1, 1]
+
+
+def _ec_state(basis, rng, kind):
+    """A hyperbolic (h, q) state: random; with clustered P(h) eigenvalues (the
+    modes k >= 2 of h at most 1e-6 of the mean, or zero); or with its smallest
+    node height within a factor of two of eps and a velocity of order one."""
+    h, q = random_hyperbolic_state(rng, basis.K)
+    if kind == "clustered":
+        h[1:] *= rng.choice([0.0, 1e-6, 1e-9, 1e-12])
+    elif kind == "near_eps":
+        h[0] += _EPS * (1.0 + rng.random()) - np.min(basis.basis_table @ h)
+        q = p_operator(basis, h) @ rng.standard_normal(basis.K)
+    return h, q
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.sampled_from(sorted(_EC_BASES)),
+    kinds=st.tuples(*[st.sampled_from(["random", "clustered", "near_eps"])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ec_condition_property(K, kinds, seed):
+    basis, rng = _EC_BASES[K], np.random.default_rng(seed)
+    L, R = (_ec_state(basis, rng, kind) for kind in kinds)
+    bL, bR = 0.2 * rng.standard_normal(K), 0.2 * rng.standard_normal(K)
+    assert abs(_ec_residual(basis, L, R, bL, bR, 1.0)) <= 1e-11
 
 
 def _source(r, dx):
