@@ -291,11 +291,16 @@ def _snapshot_name(t: float) -> str:
 
 def _write_csv(path: Path, header: list[str], columns: list):
     """One row per entry of the equal-length columns at %.17g, CRLF line
-    ends (newline="" keeps them so on Windows), formatted by one %."""
+    ends (newline="" keeps them so on Windows).  Column 0 is formatted per
+    row and the others once per run of byte-equal rows, each by one %."""
     table = np.column_stack(columns)
-    body = (",".join(["%.17g"] * table.shape[1]) + "\r\n") * len(table)
+    new = _run_starts(table[:, 1:])
+    runs = ((",%.17g" * (table.shape[1] - 1) + "\n") * int(new.sum())
+            % tuple(table[new, 1:].ravel().tolist())).split("\n")
+    firsts = ("%.17g\n" * len(table) % tuple(table[:, 0].tolist())).split("\n")
+    rows = [first + runs[i] for first, i in zip(firsts, (np.cumsum(new) - 1).tolist())]
     with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n" + body % tuple(table.ravel().tolist()))
+        handle.write(",".join(header) + "\r\n" + "\r\n".join(rows) + "\r\n")
 
 
 def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
@@ -307,12 +312,14 @@ def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
     """
     xi = np.linspace(-1.0, 1.0, 1001)
     table = eval_basis(xi, basis.K)  # (1001, K)
+    vals = np.empty((len(field.h), len(xi)))  # node values of one surrogate at a time
 
     def stats(coeffs):
         mean, var = mean_variance(coeffs)
-        vals = coeffs @ table.T
+        np.matmul(coeffs, table.T, out=vals)
         new = _run_starts(vals)  # one sort per run of bitwise-equal cells
-        srt = np.sort(vals[new], axis=-1)
+        srt = vals[new]
+        srt.sort(axis=-1)
         lo, hi = srt[:, [5, 995]], srt[:, [6, 996]]  # np.quantile's lerp, weight 0: -0.0 -> 0.0
         q = np.where(np.isnan(srt[:, 1000:]), np.nan, lo + (hi - lo) * 0.0)[np.cumsum(new) - 1]
         return mean, np.sqrt(var), q[:, 0], q[:, 1]

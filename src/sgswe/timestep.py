@@ -16,7 +16,7 @@ import numpy as np
 from .basis import PceBasis
 from .core import Field, Velocity, _symmetrizer_matrix, velocity
 from .entropy import energy
-from .errors import BlowUpError, DtUnderflowError, PositivityError
+from .errors import BlowUpError, DtUnderflowError, PositivityError, SolverError
 from .linalg import _mv, sym_eig
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
@@ -236,7 +236,8 @@ def integrate(
     makes it fill in place, so partial histories survive mid-run failures.
     Each accepted state's velocity is solved once: the solve gives the
     record's energy and is the next step's stage-0 velocity.  A non-finite
-    initial field raises BlowUpError at t = 0.
+    initial field raises BlowUpError at t = 0.  A SolverError raised with no
+    t gets the time of the state its step or record started from.
     """
     for ts in snapshot_times:
         if ts < 0.0 or ts > t_final:
@@ -257,22 +258,27 @@ def integrate(
         records.append(StepRecord(t, dt, lam, restarts, e_total, min_node_height(basis, field)))
         return solved
 
-    _check_finite(field.h, field.q, 0.0)  # before velocity's solve can fail on it
-    solved = record(field, 0.0, 0.0, np.inf, 0)
-    for ts in targets:
-        if ts <= tol and ts in wanted and on_snapshot is not None:
-            on_snapshot(ts, field)
-    targets = [ts for ts in targets if ts > tol]
+    try:
+        _check_finite(field.h, field.q, 0.0)  # before velocity's solve can fail on it
+        solved = record(field, 0.0, 0.0, np.inf, 0)
+        for ts in targets:
+            if ts <= tol and ts in wanted and on_snapshot is not None:
+                on_snapshot(ts, field)
+        targets = [ts for ts in targets if ts > tol]
 
-    while targets:
-        target = targets[0]
-        step = ssp_rk3_step(basis, solved, scheme, g, cfl, t, t_final, target)
-        field, t = step.field, step.t
-        restarts_total += step.restarts
-        if t >= target - tol:
-            t = target
-            if on_snapshot is not None and target in wanted:
-                on_snapshot(target, field)
-            targets.pop(0)
-        solved = record(field, t, step.dt, step.lam, restarts_total)
+        while targets:
+            target = targets[0]
+            step = ssp_rk3_step(basis, solved, scheme, g, cfl, t, t_final, target)
+            field, t = step.field, step.t
+            restarts_total += step.restarts
+            if t >= target - tol:
+                t = target
+                if on_snapshot is not None and target in wanted:
+                    on_snapshot(target, field)
+                targets.pop(0)
+            solved = record(field, t, step.dt, step.lam, restarts_total)
+    except SolverError as exc:
+        if exc.t is None:
+            exc.t = t
+        raise
     return field, records

@@ -248,6 +248,38 @@ def hessian_quadform(basis, h, q, g, w1, w2):
     return g * np.sum(w1 * w1, axis=-1) + np.sum(r * x, axis=-1)
 
 
+def roe_equivalence_errors(basis, L, R, g):
+    """Criterion 5's two identities between the (h, q) states L and R over a
+    flat bottom, as (diffusion, rescaling) errors.
+
+    diffusion: the es1 diffusion T|Lambda|T^T [[V]] against the Roe form
+    T|Lambda|T^-1 [[U]] on the rescaled jump [[U]] = R R^T [[V]], relative
+    to the former's largest entry.  rescaling: max |R R^T H - I| for the
+    energy Hessian H at the averaged state (h_bar, u_bar).
+    """
+    K, zero = basis.K, np.zeros(basis.K)
+    eye = np.eye(K)
+    h_bar = 0.5 * (L[0] + R[0])
+    u_bar = 0.5 * (exact_u(basis, *L) + exact_u(basis, *R))
+    jV = entropy_variables(basis, *R, zero, g) - entropy_variables(basis, *L, zero, g)
+
+    A = p_operator(basis, u_bar)
+    Ph = p_operator(basis, h_bar)
+    Gm = spd_sqrt(g * Ph)
+    Rm = np.block([[eye, eye], [A + Gm, A - Gm]]) / np.sqrt(2.0 * g)
+    RRt = Rm @ Rm.T
+
+    T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
+    q_es1 = T @ (np.abs(lam) * (T.T @ jV))
+    q_roe = T @ (np.abs(lam) * np.linalg.solve(T, RRt @ jV))
+    diffusion = float(np.max(np.abs(q_roe - q_es1)) / np.max(np.abs(q_es1)))
+
+    Phinv_A = np.linalg.solve(Ph, A)
+    Phinv = np.linalg.solve(Ph, eye)
+    hess = np.block([[g * eye + A @ Phinv_A, -A @ Phinv], [-Phinv_A, Phinv]])
+    return diffusion, float(np.max(np.abs(RRt @ hess - np.eye(2 * K))))
+
+
 # Oracles of the CSV writers: per-cell quantiles from np.quantile over every
 # cell and rows formatted by np.savetxt.  The tests pin write_snapshot and
 # write_energy_series to their bytes.

@@ -398,8 +398,32 @@ def _non_finite():
     return build_basis(3), _field(h, q)
 
 
+def _equal_nodes():
+    # every cell's 1001 surface values round to 1e20, but w_std differs from
+    # cell to cell: the written rows' runs are not the surrogates' runs
+    h, q = np.zeros((9, 3)), np.zeros((9, 3))
+    h[:, 0], h[:, 1] = 1e20, [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 1.0, 1.0, 1.0]
+    assert _runs(h @ eval_basis(np.linspace(-1.0, 1.0, 1001), 3).T) == 1 and _runs(h) == 4
+    return build_basis(3), _field(h, q)
+
+
+def _broken_run():
+    # one cell in the middle of a run of equal cells
+    h, q = np.tile([1.5, 0.1, 0.02], (11, 1)), np.tile([0.3, -0.05, 0.0], (11, 1))
+    h[5, 2] = 0.03
+    assert _runs(h) == 3 and _runs(q) == 1
+    return build_basis(3), _field(h, q)
+
+
+def _one_run():
+    # the fewest cells a Field holds, all equal: one distinct row
+    h, q = np.tile([1.5, 0.1], (3, 1)), np.tile([0.3, -0.05], (3, 1))
+    return build_basis(2), _field(h, q)
+
+
 SNAPSHOT_CASES = {f.__name__[1:]: f for f in (_dam_break, _signed_zeros, _k1, _distinct,
-                                              _ends, _non_finite)}
+                                              _ends, _non_finite, _equal_nodes, _broken_run,
+                                              _one_run)}
 
 
 @pytest.mark.parametrize("case", SNAPSHOT_CASES)
@@ -442,17 +466,30 @@ def test_write_snapshot_quantiles_are_order_statistics(tmp_path):
     assert not np.signbit(got[:, [7, 8]]).any()
 
 
-@pytest.mark.parametrize("n", [1, 2, 40])
+def _repeated_records():
+    # every column but t repeats in runs: one run broken by one record, runs
+    # told apart only by the sign of a zero or by a NaN payload
+    nan2 = np.array(0x7FF8000000000002, dtype=np.int64).view(float)
+    blocks = [(0.5, 1.0), (0.5, 1.0), (0.25, 1.0), (0.5, 1.0), (0.5, 1.0),
+              (0.5, -0.0), (0.5, 0.0), (0.5, 0.0), (np.nan, 0.0), (nan2, 0.0), (nan2, 0.0)]
+    return [StepRecord(t=0.01 * i, dt=dt, lam=2.0, restarts=3, energy=4.0, min_node_height=m)
+            for i, (dt, m) in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, "repeated"])
 def test_write_energy_series_bytes_match_oracle(tmp_path, n):
-    rng = np.random.default_rng(n)
-    special = [np.inf, np.nan, -0.0, 5e-324, -np.inf, 0.0]
-    values = np.concatenate([special, rng.standard_normal(n) * np.logspace(-300, 300, n)])
-    records = [
-        StepRecord(t=v, dt=values[i - 1], lam=values[i - 2], energy=e,
-                   min_node_height=-v, restarts=i)
-        for i, (v, e) in enumerate(zip(values[:n], rng.uniform(1.0, 5.0, n)))
-    ]
-    records[-1] = dataclasses.replace(records[-1], energy=-0.0)
+    if n == "repeated":
+        records = _repeated_records()
+    else:
+        rng = np.random.default_rng(n)
+        special = [np.inf, np.nan, -0.0, 5e-324, -np.inf, 0.0]
+        values = np.concatenate([special, rng.standard_normal(n) * np.logspace(-300, 300, n)])
+        records = [
+            StepRecord(t=v, dt=values[i - 1], lam=values[i - 2], energy=e,
+                       min_node_height=-v, restarts=i)
+            for i, (v, e) in enumerate(zip(values[:n], rng.uniform(1.0, 5.0, n)))
+        ]
+        records[-1] = dataclasses.replace(records[-1], energy=-0.0)
     with np.errstate(all="ignore"):
         write_energy_series(records, tmp_path / "got.csv")
         energy_series_oracle(records, tmp_path / "want.csv")

@@ -25,6 +25,7 @@ from conftest import (
     physical_flux,
     random_hyperbolic_state,
     random_state_batch,
+    roe_equivalence_errors,
 )
 
 
@@ -121,6 +122,20 @@ def test_ec_condition_property(K, kinds, seed):
     L, R = (_ec_state(basis, rng, kind) for kind in kinds)
     bL, bR = 0.2 * rng.standard_normal(K), 0.2 * rng.standard_normal(K)
     assert abs(_ec_residual(basis, L, R, bL, bR, 1.0)) <= 1e-11
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.sampled_from(sorted(_EC_BASES)),
+    kinds=st.tuples(*[st.sampled_from(["random", "clustered", "near_eps"])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roe_equivalence_property(K, kinds, seed):
+    # criterion 5's identities, at its bounds, on the EC condition's kinds of state
+    basis, rng = _EC_BASES[K], np.random.default_rng(seed)
+    L, R = (_ec_state(basis, rng, kind) for kind in kinds)
+    diffusion, rescaling = roe_equivalence_errors(basis, L, R, 1.0)
+    assert diffusion <= 1e-9 and rescaling <= 1e-10
 
 
 def _source(r, dx):

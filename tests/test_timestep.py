@@ -1,6 +1,7 @@
 """Positivity bound, CFL step, adaptive SSP-RK3 and the driver."""
 
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import sgswe.linalg
 import sgswe.timestep
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import Field, symmetrizer_eig, velocity
-from sgswe.errors import BlowUpError, DtUnderflowError, PositivityError
+from sgswe.errors import BlowUpError, DtUnderflowError, HyperbolicityError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
     _speed_bounds,
@@ -175,6 +176,36 @@ def test_integrate_non_finite_initial_height_blows_up():
     with pytest.raises(BlowUpError) as err:
         integrate(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.01)
     assert err.value.t == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, call, start",
+    [("velocity", 1, 0), ("velocity", 8, 2), ("velocity", 10, 3), ("positivity_check", 8, 2)],
+)
+def test_integrate_errors_name_the_time(monkeypatch, name, call, start):
+    # without restarts, an ec step solves 2 stage velocities, its start and
+    # stage states' positivity bounds (3 positivity_check calls), then the
+    # record's velocity; call 1 of velocity is the initial record.  The
+    # call-th call gets negated heights and raises at its own site with no
+    # time; integrate names the time of records[start], the state that the
+    # failing step or record started from.
+    basis = build_basis(3)
+    fld = _sine_field(basis, 16)
+    _, records = integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.2)
+    assert len(records) > 4 and records[-1].restarts == 0
+    real, calls = getattr(sgswe.timestep, name), []
+
+    def failing(basis, arg):
+        calls.append(arg)
+        if len(calls) == call:
+            arg = replace(arg, h=-arg.h) if name == "velocity" else -arg
+        return real(basis, arg)
+
+    monkeypatch.setattr(sgswe.timestep, name, failing)
+    error = HyperbolicityError if name == "velocity" else PositivityError
+    with pytest.raises(error) as err:
+        integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.2)
+    assert err.value.t == records[start].t
 
 
 def test_integrate_hits_snapshots_exactly():
