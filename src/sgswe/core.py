@@ -30,14 +30,12 @@ __all__ = [
 @dataclass(frozen=True)
 class Velocity:
     """Velocity coefficients u, per-cell flags telling where the regularized
-    inverse deviated from the exact one, and the eigenpairs
-    P(h) = Q diag(pi) Q^T that the solve used."""
+    inverse deviated from the exact one, and the P(h) that the solve
+    inverted."""
 
     u: np.ndarray = dc_field(repr=False)
     desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
     Ph: np.ndarray = dc_field(repr=False)
-    pi: np.ndarray = dc_field(repr=False)
-    Q: np.ndarray = dc_field(repr=False)
 
 
 @dataclass
@@ -132,7 +130,7 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
         q_new = np.where(activated[..., None], _mv(Ph, u), field.q)
     else:
         q_new = field.q
-    return Velocity(u, activated, Ph, pi, Q), replace(field, q=q_new)
+    return Velocity(u, activated, Ph), replace(field, q=q_new)
 
 
 def _normalize_columns(L: np.ndarray) -> np.ndarray:
@@ -149,13 +147,12 @@ def _normalize_columns(L: np.ndarray) -> np.ndarray:
 
 
 def _symmetrizer_matrix(
-    basis: PceBasis, p_eig: tuple[np.ndarray, np.ndarray, np.ndarray], u_bar: np.ndarray, g: float
+    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The symmetric matrix D of symmetrizer_eig from p_eig = (P(h_bar), pi,
-    Q), the eigenpairs of _p_eig, with the P(u_bar) and G = sqrt(g P(h_bar))
-    it was assembled from, as (D, P(u_bar), G).  D has the flux Jacobian's
-    eigenvalues."""
-    Ph, pi, Q = p_eig
+    """The symmetric matrix D of symmetrizer_eig at (h_bar, u_bar), with the
+    P(u_bar) and G = sqrt(g P(h_bar)) it was assembled from, as
+    (D, P(u_bar), G).  D has the flux Jacobian's eigenvalues."""
+    Ph, pi, Q = _p_eig(basis, h_bar)
     Qt = np.swapaxes(Q, -1, -2)
     sq = np.sqrt(g * pi)
     G = (Q * sq[..., None, :]) @ Qt
@@ -188,7 +185,7 @@ def symmetrizer_eig(
     (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
     positive semi-definite Roe-type diffusion operator.
     """
-    D, Pu, G = _symmetrizer_matrix(basis, _p_eig(basis, h_bar), u_bar, g)
+    D, Pu, G = _symmetrizer_matrix(basis, h_bar, u_bar, g)
     K = basis.K
     lam, L = sym_eig(D)
     L = _normalize_columns(L)

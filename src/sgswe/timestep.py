@@ -65,60 +65,54 @@ def positivity_lambda(
     return float(ratio.min())
 
 
-def _speed_bounds(
-    basis: PceBasis, vel: Velocity, h: np.ndarray, g: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lower <= rho <= upper on each cell's flux-Jacobian spectral
-    radius rho, from the velocity solve vel of the cell heights h.
+def _speed_bound(basis: PceBasis, vel: Velocity, h: np.ndarray, g: float) -> np.ndarray:
+    """Upper bound on each cell's flux-Jacobian spectral radius, from the
+    velocity solve vel of the cell heights h.
 
     With the 2K Gauss nodes of build_basis, P(a) = A^T diag(a(xi_m)) A with
     A^T A = I, so the spectrum of P(a) lies between a's node values.  D of
     symmetrizer_eig is orthogonally similar to [[P(u), G], [G, C]] with
     G = sqrt(g P(h)), C = P(h)^(-1/2) P(q~) P(h)^(-1/2) and q~ = P(h) u, and
     the norms of its blocks are at most a = max|u(xi_m)|,
-    c = sqrt(g max h(xi_m)) and w = max|q~(xi_m) / h(xi_m)|.  upper is the
-    norm of [[a, c], [c, w]], or +inf in a cell with a node height <= 0.
-    lower is the larger |Rayleigh quotient| of (e, +-e)/sqrt(2), with e the
-    top eigenvector of P(h): |e^T P(u) e + e^T P(q~) e / pi_max| / 2 +
-    sqrt(g pi_max).  For K = 1 both are |u| + sqrt(g h).
+    c = sqrt(g max h(xi_m)) and w = max|q~(xi_m) / h(xi_m)|.  The bound is
+    the norm of [[a, c], [c, w]], or +inf in a cell with a node height <= 0.
+    For K = 1 it is |u| + sqrt(g h).
     """
     table = basis.basis_table
     node_h = h @ table.T
-    node_u = vel.u @ table.T
     node_q = _mv(vel.Ph, vel.u) @ table.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.max(np.abs(node_u), axis=-1)
+        a = np.max(np.abs(vel.u @ table.T), axis=-1)
         c = np.sqrt(g * np.max(node_h, axis=-1))
         w = np.max(np.abs(node_q / node_h), axis=-1)
         upper = 0.5 * (a + w) + np.sqrt((0.5 * (a - w)) ** 2 + c**2)
     upper[~np.all(node_h > 0.0, axis=-1)] = np.inf
-    pi_max = vel.pi[..., -1]
-    e2 = basis.quad_weights * (vel.Q[..., -1] @ table.T) ** 2  # w_m e(xi_m)^2
-    mid = np.sum(e2 * node_u, axis=-1) + np.sum(e2 * node_q, axis=-1) / pi_max
-    return 0.5 * np.abs(mid) + np.sqrt(g * pi_max), upper
+    return upper
 
 
 def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float) -> float:
     """dt = cfl dx / max spectral radius of the flux Jacobian over the cells
     of solved = velocity(basis, field).
 
-    Only the cells that can hold the maximum are solved.  _speed_bounds
-    brackets each cell's radius by node values: with 2K Gauss nodes the
-    spectrum of P(a) lies between a's values at the nodes.  A cell whose
-    upper bound is below (1 - 1e-12) max(lower) cannot set dt.  The slack
-    absorbs the rounding of both bounds, so the cell with the largest lower
-    bound always stays, as does every cell whose bound is not finite or whose
-    node heights are not positive.  symmetrizer_eig's matrix D is assembled
-    for the cells left and goes to one sym_eig call, without eigenvectors.
-    A cell's D and its eigenvalues do not depend on the rest of the batch,
-    so dt is bitwise the dt of solving every cell.
+    Only the cells that can hold the maximum are solved.  _speed_bound
+    bounds each cell's radius from above by node values.  The cell with the
+    largest bound is solved first; its radius r is at most the maximum, so
+    a cell whose bound is below (1 - 1e-12) r cannot set dt.  The slack
+    absorbs the bound's rounding, so every cell holding the maximum stays,
+    as does every cell whose bound is not finite.  symmetrizer_eig's D of
+    the cells left goes to one sym_eig call.  A cell's D and its eigenvalues
+    do not depend on the rest of the batch, so dt is bitwise the dt of
+    solving every cell.
     """
     vel, field = solved
-    lower, upper = _speed_bounds(basis, vel, field.h, g)
-    keep = ~(upper < (1.0 - 1e-12) * np.max(lower))
-    p_eig = (vel.Ph[keep], vel.pi[keep], vel.Q[keep])
-    lam, _ = sym_eig(_symmetrizer_matrix(basis, p_eig, vel.u[keep], g)[0])
-    return cfl * field.dx / float(np.max(np.abs(lam)))
+
+    def radius(cells) -> float:
+        lam, _ = sym_eig(_symmetrizer_matrix(basis, field.h[cells], vel.u[cells], g)[0])
+        return float(np.max(np.abs(lam)))
+
+    upper = _speed_bound(basis, vel, field.h, g)
+    keep = ~(upper < (1.0 - 1e-12) * radius([np.argmax(upper)]))
+    return cfl * field.dx / radius(keep)
 
 
 def total_energy(solved: tuple[Velocity, Field], g: float) -> float:
@@ -239,8 +233,10 @@ def integrate(
     initial field raises BlowUpError at t = 0.  A SolverError raised with no
     t gets the time of the state its step or record started from.
     """
+    if not 0.0 < t_final < np.inf:
+        raise ValueError(f"t_final must be finite and positive, got {t_final}")
     for ts in snapshot_times:
-        if ts < 0.0 or ts > t_final:
+        if not 0.0 <= ts <= t_final:
             raise ValueError(f"snapshot time {ts} outside [0, {t_final}]")
     wanted = set(float(ts) for ts in snapshot_times)
     targets = sorted(wanted | {float(t_final)})

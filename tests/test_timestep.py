@@ -16,7 +16,7 @@ from sgswe.core import Field, symmetrizer_eig, velocity
 from sgswe.errors import BlowUpError, DtUnderflowError, HyperbolicityError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
-    _speed_bounds,
+    _speed_bound,
     cfl_dt,
     integrate,
     min_node_height,
@@ -252,10 +252,16 @@ def test_integrate_record_invariants():
 
 
 def test_integrate_rejects_bad_snapshot_times():
+    # a NaN snapshot time would never fire, and a horizon that is not finite
+    # and positive would return the initial state alone
     basis = build_basis(2)
     fld = _sine_field(basis, 16)
-    with pytest.raises(ValueError):
-        integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.01, snapshot_times=(0.5,))
+    for t_final, snapshot_times in [(0.01, (0.5,)), (0.01, (-1e-3,)), (0.01, (np.nan,)),
+                                    (np.nan, ()), (np.inf, ()), (-1.0, ()), (0.0, ()),
+                                    (0.0, (0.0,))]:
+        with pytest.raises(ValueError):
+            integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, t_final,
+                      snapshot_times=snapshot_times)
 
 
 def test_total_energy_matches_hand_sum():
@@ -280,12 +286,13 @@ def test_near_dry_run_restarts_and_stays_positive():
     assert records[-1].restarts > 0
 
 
-@pytest.mark.parametrize("scheme, k_per_step, k2_per_step", [("ec", 3, 1), ("es2", 6, 4)])
+@pytest.mark.parametrize("scheme, k_per_step, k2_per_step", [("ec", 5, 2), ("es2", 8, 5)])
 def test_eigensolves_per_accepted_step(monkeypatch, scheme, k_per_step, k2_per_step):
     # one velocity solve per accepted state: 1 + 3n K x K for ec; es2 adds
     # one P(h_bar) solve per stage.  The 2K x 2K symmetrizer runs once per
-    # stage for es2 and once per step for both: cfl_dt's one call, which
-    # gets only the cells that can hold the largest spectral radius.
+    # stage for es2 and twice per step for both: cfl_dt solves the cell with
+    # the largest speed bound, then the cells that can hold the largest
+    # spectral radius, each with its own P(h) solve.
     basis = build_basis(3)
     calls = {3: 0, 6: 0}
     sym_eig = sgswe.linalg.sym_eig
@@ -337,8 +344,9 @@ def _cfl_states():
     h, q = random_state_batch(rng, 30, 4)
     yield "random", basis, Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
     yield "dam break", basis, _dam_break_field(basis, 40)
-    # K = 1 cells a few ulps apart: both bounds equal |u| + sqrt(g h) up to
-    # rounding, so only the 1e-12 slack keeps the fastest cell
+    # K = 1 cells a few ulps apart: the bound and the radius equal
+    # |u| + sqrt(g h) up to rounding, so only the 1e-12 slack keeps the
+    # fastest cell
     tie = np.random.default_rng(51)  # a draw on which the slack decides
     ulps = 1.0 + tie.integers(-4, 5, (2, 16, 1)) * 2.0**-52
     h0, q0 = 1.0 + tie.random(), tie.standard_normal()
@@ -352,7 +360,7 @@ def _cfl_states():
                                          x_left=0.0)
     # cells 3 and 17 have a node height below 0 with P(h) still SPD; without
     # the positivity condition their upper bounds would read 9.05 and 24.5,
-    # but cell 3's radius is 21.0 and cell 17's lower bound 18.8
+    # but their radii are 21.0, the grid's largest, and 19.3
     h, q = random_state_batch(rng, 30, 4)
     h[[3, 17]] = [[1.0, 0.437, 0.305, 0.606], [1.0, 0.159, -0.094, 0.331]]
     u = np.array([[-0.947, -3.565, -0.453, 0.793], [1.07, -2.735, -7.578, -2.719]])
@@ -370,12 +378,15 @@ def test_cfl_dt_with_passed_velocity_is_bitwise():
             seen.add("desingularized")
         if np.any(node_h <= 0.0):
             seen.add("nonpositive node")
-            assert np.all(solved[0].pi > 0.0)
+            assert np.all(np.linalg.eigvalsh(solved[0].Ph) > 0.0)
         # the bound over every cell, with its own P(h) eigensolve
         _, lam = symmetrizer_eig(basis, fld.h, solved[0].u, 1.0)
-        expected = 0.45 * fld.dx / float(np.max(np.abs(lam)))
+        rho = np.max(np.abs(lam), axis=-1)
+        if rho[np.argmax(_speed_bound(basis, solved[0], fld.h, 1.0))] < np.max(rho):
+            seen.add("largest bound not fastest")  # its radius alone is not dt
+        expected = 0.45 * fld.dx / float(np.max(rho))
         assert cfl_dt(basis, solved, 1.0, 0.45) == expected, name
-    assert seen == {"desingularized", "nonpositive node"}
+    assert seen == {"desingularized", "nonpositive node", "largest bound not fastest"}
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -386,8 +397,8 @@ def test_cfl_dt_with_passed_velocity_is_bitwise():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
-    # cfl_dt prunes a cell when upper < (1 - 1e-12) max(lower), so both
-    # bounds must hold per cell to within that slack
+    # cfl_dt prunes a cell when upper < (1 - 1e-12) r, with r the radius of
+    # one cell, so the bound must hold per cell to within that slack
     basis = build_basis(K)
     rng = np.random.default_rng(seed)
     n, dx = 16, 0.01
@@ -404,15 +415,13 @@ def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
         q = rng.uniform(0.0, 3.0) * rng.standard_normal((n, K)) * h[:, :1]
     fld = Field(h=h, q=q, bottom=np.zeros((n, K)), dx=dx, x_left=0.0)
     vel, _ = velocity(basis, fld)
-    lower, upper = _speed_bounds(basis, vel, h, g)
+    upper = _speed_bound(basis, vel, h, g)
     _, lam = symmetrizer_eig(basis, h, vel.u, g)
     rho = np.max(np.abs(lam), axis=-1)
     assert np.all(rho * (1.0 - 1e-12) <= upper)
-    assert np.all(lower * (1.0 - 1e-12) <= rho)
     if K == 1:
         exact = np.abs(vel.u[:, 0]) + np.sqrt(g * h[:, 0])
         np.testing.assert_allclose(upper, exact, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(lower, exact, rtol=1e-14, atol=0.0)
 
 
 def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
@@ -426,8 +435,10 @@ def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
 
     monkeypatch.setattr(sgswe.timestep, "sym_eig", counted)
     _, records = integrate(basis, _dam_break_field(basis, nx), SchemeKind.EC, 1.0, 0.45, 0.05)
-    assert len(passed) == len(records) - 1 >= 3
-    assert max(passed[1:]) < nx, passed
+    # per step: the cell with the largest bound, then the cells kept
+    assert len(passed) == 2 * (len(records) - 1) >= 6
+    assert set(passed[::2]) == {1}
+    assert max(passed[3::2]) < nx, passed
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
