@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import PceBasis, p_operator
 from .errors import HyperbolicityError
-from .linalg import _mtv, _mv, sym_eig
+from .linalg import _mtv, _mv, _run_starts, sym_eig
 
 __all__ = [
     "Velocity",
@@ -86,18 +86,19 @@ def pad_ghosts(arr: np.ndarray, policy: str) -> np.ndarray:
     raise ValueError(f"unknown ghost policy {policy!r}")
 
 
-def _p_eig(basis: PceBasis, h: np.ndarray):
+def _p_eig(basis: PceBasis, h: np.ndarray, cells=None):
     """P(h) with its eigenvalues and eigenvectors; raises HyperbolicityError
-    naming the batch index with the smallest eigenvalue when P(h) is not
-    positive definite."""
+    naming the batch index with the smallest eigenvalue, or cells[index]
+    when cells is given, when P(h) is not positive definite."""
     Ph = p_operator(basis, h)
     pi, Q = sym_eig(Ph)
     if np.any(pi <= 0.0):
         flat = np.min(pi, axis=-1).reshape(-1)
         idx = int(np.argmin(flat))
+        cell = idx if cells is None else int(cells[idx])
         raise HyperbolicityError(
-            f"P(h) not positive definite (min eigenvalue {flat[idx]:.6e} at batch index {idx})",
-            cell=idx,
+            f"P(h) not positive definite (min eigenvalue {flat[idx]:.6e} at batch index {cell})",
+            cell=cell,
             detail=float(flat[idx]),
         )
     return Ph, pi, Q
@@ -116,21 +117,25 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
     P(h), a height, with a length, so it is not dimensionally consistent.
     It is documented rather than changed: any other value changes the
     outputs of every run that desingularizes, such as the hump configs
-    under perfbench/configs/smoke/.
+    under perfbench/configs/smoke/.  Each run of byte-equal (h, q) rows is
+    solved once and copied; a cell's solve does not depend on the batch, so
+    the copies are bitwise exact.
     """
     eps = field.dx
-    Ph, pi, Q = _p_eig(basis, field.h)
+    new = _run_starts(np.concatenate([field.h, field.q], axis=1))
+    owner = np.cumsum(new) - 1
+    Ph, pi, Q = _p_eig(basis, field.h[new], np.flatnonzero(new))
     small = pi < eps
     pi_reg = np.where(
         small, np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi), pi
     )
     activated = np.any(small, axis=-1)
-    u = _mv(Q, _mtv(Q, field.q) / pi_reg)
+    u = _mv(Q, _mtv(Q, field.q[new]) / pi_reg)
     if np.any(activated):
-        q_new = np.where(activated[..., None], _mv(Ph, u), field.q)
+        q_new = np.where(activated[..., None], _mv(Ph, u), field.q[new])[owner]
     else:
         q_new = field.q
-    return Velocity(u, activated, Ph), replace(field, q=q_new)
+    return Velocity(u[owner], activated[owner], Ph[owner]), replace(field, q=q_new)
 
 
 def _normalize_columns(L: np.ndarray) -> np.ndarray:

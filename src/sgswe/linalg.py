@@ -4,14 +4,12 @@ All inputs are symmetrized as (A + A^T)/2 before factorization so that
 accumulated rounding in assembled P(.) products cannot trip the solver.
 Every function accepts stacked operands with shape (..., n, n).
 
-sym_eig solves one matrix per run of bitwise-equal neighbours in the batch
-and copies its eigenpairs to the rest of the run; the far field of a dam
-break or a lake at rest is such a run.  Matrices are compared by their bytes
-after symmetrization.
+sym_eig factorizes every matrix it is passed: core.velocity, timestep.cfl_dt
+and schemes.semidiscrete_rhs drop the repeated cells before they build one.
 
-The matrices left to solve are split into contiguous chunks, one per CPU of
-the process's affinity mask: the calling thread solves the first chunk and a
-thread pool the others.  LAPACK factorizes each matrix on its own, so both
+The batch is split into contiguous chunks, one per CPU of the process's
+affinity mask: the calling thread solves the first chunk and a thread pool
+the others.  LAPACK factorizes each matrix on its own, so both
 steps give results bitwise equal to one serial np.linalg.eigh of the whole
 batch.  Limit the CPUs with the affinity mask (``taskset``).
 """
@@ -109,12 +107,5 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix as (values, vectors), eigenvalues ascending."""
     S = _symmetrize(A)
     n = S.shape[-1]
-    flat = S.reshape(-1, n, n)
-    new = _run_starts(flat.reshape(len(flat), n * n))
-    if new.all():  # the copies in and out would add 6-11% to this batch's solve
-        values, vectors = _eigh_split(flat)
-    else:
-        values, vectors = _eigh_split(flat[new])
-        owner = np.cumsum(new) - 1
-        values, vectors = values[owner], vectors[owner]
+    values, vectors = _eigh_split(S.reshape(-1, n, n))
     return values.reshape(S.shape[:-1]), vectors.reshape(S.shape)

@@ -17,7 +17,7 @@ from .basis import PceBasis
 from .core import Field, Velocity, _symmetrizer_matrix, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, PositivityError, SolverError
-from .linalg import _mv, sym_eig
+from .linalg import _mv, _run_starts, sym_eig
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
 __all__ = [
@@ -99,20 +99,23 @@ def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float
     largest bound is solved first; its radius r is at most the maximum, so
     a cell whose bound is below (1 - 1e-12) r cannot set dt.  The slack
     absorbs the bound's rounding, so every cell holding the maximum stays,
-    as does every cell whose bound is not finite.  symmetrizer_eig's D of
-    the cells left goes to one sym_eig call.  A cell's D and its eigenvalues
-    do not depend on the rest of the batch, so dt is bitwise the dt of
-    solving every cell.
+    as does every cell whose bound is not finite.  The others left, one per
+    run of byte-equal (h, u) rows, go to a second sym_eig call if any.  A
+    cell's D and its eigenvalues do not depend on the rest of the batch, so
+    dt is bitwise the dt of solving every cell.
     """
     vel, field = solved
 
     def radius(cells) -> float:
         lam, _ = sym_eig(_symmetrizer_matrix(basis, field.h[cells], vel.u[cells], g)[0])
-        return float(np.max(np.abs(lam)))
+        return np.max(np.abs(lam))
 
     upper = _speed_bound(basis, vel, field.h, g)
-    keep = ~(upper < (1.0 - 1e-12) * radius([np.argmax(upper)]))
-    return cfl * field.dx / radius(keep)
+    top = np.argmax(upper)
+    r = radius([top])
+    keep = ~(upper < (1.0 - 1e-12) * r) & _run_starts(np.concatenate([field.h, vel.u], axis=1))
+    keep[top] = False
+    return cfl * field.dx / float(np.maximum(r, radius(keep)) if keep.any() else r)
 
 
 def total_energy(solved: tuple[Velocity, Field], g: float) -> float:

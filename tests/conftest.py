@@ -1,14 +1,16 @@
 """Shared fixtures and random state helpers for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, eval_basis, mean_variance, p_operator
-from sgswe.core import pad_ghosts, symmetrizer_eig
+from sgswe.core import Velocity, _p_eig, pad_ghosts, symmetrizer_eig
 from sgswe.entropy import _entropy_vars, energy
 from sgswe.linalg import _mtv, sym_eig
-from sgswe.schemes import SchemeKind, _es2_pi, interface_flux
+from sgswe.schemes import RhsResult, SchemeKind, _es2_pi, interface_flux
 
 
 @pytest.fixture(scope="session")
@@ -74,8 +76,8 @@ def pool(monkeypatch):
 
 
 def distinct_eyes(n, count):
-    """count multiples 1, 2, ..., count of the n x n identity: a batch in
-    which no two neighbours are equal, so sym_eig solves every matrix."""
+    """count multiples 1, 2, ..., count of the n x n identity: a batch whose
+    eigenvalues are known and differ from one matrix to the next."""
     return np.eye(n) * (1.0 + np.arange(count))[:, None, None]
 
 
@@ -193,6 +195,36 @@ def diffused_everywhere(basis, h, u, B, scheme, g):
                                    w_left[..., 1:-1, :], w_right[..., 1:-1, :])
         weight = weight * Pi
     return F - 0.5 * _mv(T, weight * wjump)
+
+
+def velocity_every_cell(basis, field):
+    """sgswe.core.velocity with one P(h) solve per cell, equal neighbours or
+    not: the oracle its per-run solves must match byte for byte."""
+    eps = field.dx
+    Ph, pi, Q = _p_eig(basis, field.h)
+    small = pi < eps
+    pi_reg = np.where(
+        small, np.sqrt(pi**4 + np.maximum(pi**4, eps**4)) / (np.sqrt(2.0) * pi), pi
+    )
+    activated = np.any(small, axis=-1)
+    u = _mv(Q, _mtv(Q, field.q) / pi_reg)
+    q_new = np.where(activated[..., None], _mv(Ph, u), field.q) if np.any(activated) else field.q
+    return Velocity(u, activated, Ph), replace(field, q=q_new)
+
+
+def rhs_every_interface(basis, solved, scheme, g):
+    """sgswe.schemes.semidiscrete_rhs with interface_flux on the whole padded
+    stack: the oracle its window of jumps must match byte for byte."""
+    vel, field = solved
+    nx = field.nx
+    hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
+    k = interface_flux(basis, hp, up, Bp, scheme, g)
+    fluxes = k.flux[1 : nx + 2]
+    PhjB = _mv(k.Ph_bar, Bp[1:] - Bp[:-1])
+    Sq = -(0.5 * g / field.dx) * (PhjB[2 : nx + 2] + PhjB[1 : nx + 1])
+    rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
+    rhs[:, basis.K :] += Sq
+    return RhsResult(rhs=rhs, fluxes=fluxes, field=field)
 
 
 def grid_energy_pair(basis, solved, r, g):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import (
     Field,
@@ -21,6 +22,7 @@ from conftest import (
     physical_flux,
     random_hyperbolic_state,
     random_state_batch,
+    velocity_every_cell,
 )
 
 
@@ -85,6 +87,105 @@ def test_velocity_raises_on_hyperbolicity_loss(basis4):
         velocity(basis4, fld)
     assert info.value.cell == 5  # the interior cell of the 8-cell field
     assert info.value.detail < 0.0
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """The number of matrices each np.linalg.eigh call receives."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
+
+
+def _field_with_runs(rng, K, lengths, dx=0.05):
+    """Random (h, q) rows, each repeated over as many cells as lengths says."""
+    h, q = (np.repeat(a, lengths, axis=0) for a in random_state_batch(rng, len(lengths), K))
+    return Field(h=h, q=q, bottom=np.zeros_like(h), dx=dx, x_left=0.0)
+
+
+def _assert_solved_like(solved, ref):
+    """velocity's result is byte for byte the per-cell oracle's."""
+    (vel, out), (ref_vel, ref_out) = solved, ref
+    for a, b in [(vel.u, ref_vel.u), (vel.desingularized, ref_vel.desingularized),
+                 (vel.Ph, ref_vel.Ph), (out.q, ref_out.q)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("K", [1, 3, 9])
+def test_velocity_solves_each_run_once(factorized, K):
+    fld = _field_with_runs(np.random.default_rng(30 + K), K, [5, 1, 1, 3, 1, 4])  # runs at both ends
+    fld.h[5] = fld.h[0]  # the h of run 0 with another q: still a run of its own
+    fld.h[7:10] *= 0.01  # P(h) eigenvalues below eps = dx: desingularized
+    basis = build_basis(K)
+    ref = velocity_every_cell(basis, fld)
+    factorized.clear()
+    solved = velocity(basis, fld)
+    _assert_solved_like(solved, ref)
+    assert sum(factorized) == 6
+    assert np.flatnonzero(solved[0].desingularized).tolist() == [7, 8, 9]
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_velocity_run_at_a_chunk_boundary(monkeypatch, pool, factorized, offset):
+    # 2m + 1 distinct cells make two chunks of P(h) solves, m + 1 and m; the
+    # run of 9 cells is solved as the last of the first chunk or the first
+    # of the second
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
+    basis = build_basis(6)
+    m = -(-sgswe.linalg._MIN_CHUNK // 36)
+    fld = _field_with_runs(np.random.default_rng(40 + offset), 6,
+                           [1] * (m + offset) + [9] + [1] * (m - offset))
+    ref = velocity_every_cell(basis, fld)
+    factorized.clear()
+    pool.sizes.clear()
+    _assert_solved_like(velocity(basis, fld), ref)
+    assert pool.sizes == [m]
+    assert sorted(factorized) == [m, m + 1]
+
+
+def test_velocity_solves_signed_zeros_and_ulps_apart(factorized):
+    basis = build_basis(3)
+    h, q = random_state_batch(np.random.default_rng(41), 1, 3)
+    q[0, 1] = 0.0
+    neg, ulp = q.copy(), h.copy()
+    neg[0, 1] = -0.0
+    ulp[0, 2] = np.nextafter(ulp[0, 2], 1.0)
+    h, q = np.concatenate([h, h, h, ulp, ulp]), np.concatenate([q, neg, q, q, q])
+    fld = Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.05, x_left=0.0)
+    ref = velocity_every_cell(basis, fld)
+    factorized.clear()
+    _assert_solved_like(velocity(basis, fld), ref)
+    assert factorized == [4]
+
+
+def test_velocity_nan_run_raises_like_per_cell(basis4, factorized):
+    fld = _field_with_runs(np.random.default_rng(42), 4, [1, 1, 1, 4, 1, 1, 1, 1, 1])
+    fld.h[3:7] = np.nan
+    with pytest.raises(np.linalg.LinAlgError) as per_cell:
+        velocity_every_cell(basis4, fld)
+    factorized.clear()
+    with pytest.raises(np.linalg.LinAlgError) as per_run:
+        velocity(basis4, fld)
+    assert str(per_run.value) == str(per_cell.value)
+    assert factorized == [9]
+
+
+def test_velocity_error_names_the_first_cell_of_its_run(basis4):
+    # run 0 is solved once, so the bad run is row 3 of the solved batch; the
+    # error still names its first cell, 7, as the per-cell solve does
+    fld = _field_with_runs(np.random.default_rng(43), 4, [5, 1, 1, 4, 1])
+    fld.h[7:11] = [-1.0, 0.0, 0.0, 0.0]
+    errors = []
+    for solve in (velocity, velocity_every_cell):
+        with pytest.raises(HyperbolicityError) as info:
+            solve(basis4, fld)
+        errors.append((str(info.value), info.value.cell, info.value.detail))
+    assert errors[0] == errors[1] and errors[0][1] == 7
 
 
 def test_physical_flux_blocks(basis4):

@@ -139,39 +139,25 @@ def solved(monkeypatch):
     return sizes
 
 
-def _runs(A):
-    """Runs of bytewise-equal neighbours in the symmetrized batch."""
-    S = 0.5 * (A + np.swapaxes(A, -1, -2))
-    flat = [m.tobytes() for m in S.reshape((-1,) + S.shape[-2:])]
-    return 1 + sum(a != b for a, b in zip(flat, flat[1:]))
-
-
 def _with_runs(rng, n, lengths):
     """Random n x n matrices, each repeated as often as lengths says."""
     return np.repeat(rng.standard_normal((len(lengths), n, n)), lengths, axis=0)
 
 
-@pytest.mark.parametrize("K", [1, 3, 9])
-def test_sym_eig_solves_each_run_once(solved, K):
-    batch = _with_runs(np.random.default_rng(30 + K), K, [5, 1, 1, 3, 1, 4])  # runs at both ends
-    pairs = batch[:12].reshape(6, 2, K, K)
-    strided = np.ascontiguousarray(pairs.swapaxes(0, 1)).swapaxes(0, 1)  # same values as pairs
-    for A, runs in [(batch, 6), (pairs, 6), (strided, 6), (batch[0], 1)]:
-        solved.clear()
-        _assert_bitwise(A)
-        assert _runs(A) == runs and sum(solved) == runs
+# sym_eig factorizes every matrix it is passed, repeats included; the callers
+# in core, schemes and timestep drop repeated cells before building them.
 
 
 @pytest.mark.parametrize("offset", [0, 1])
 def test_sym_eig_run_at_a_chunk_boundary(monkeypatch, pool, solved, offset):
-    # 2m + 1 distinct matrices make two chunks, m + 1 and m; the run is the
-    # last matrix of the first chunk or the first of the second
+    # 2m + 9 matrices make two chunks, m + 5 and m + 4; the run of 9 equal
+    # matrices straddles the boundary, and each side solves its copies
     monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
     m = _fill(6)
     A = _with_runs(np.random.default_rng(40 + offset), 6, [1] * (m + offset) + [9] + [1] * (m - offset))
     _assert_bitwise(A)
-    assert pool.sizes == [m]
-    assert sorted(solved) == [m, m + 1]
+    assert pool.sizes == [m + 4]
+    assert sorted(solved) == [m + 4, m + 5]
 
 
 def test_sym_eig_solves_signed_zeros_and_ulps_apart(solved):
@@ -182,7 +168,7 @@ def test_sym_eig_solves_signed_zeros_and_ulps_apart(solved):
     ulp[2, 2] = np.nextafter(3.0, 4.0)
     A = np.stack([base, neg, base, ulp, ulp])
     _assert_bitwise(A)
-    assert solved == [4]
+    assert solved == [5]
 
 
 def test_run_starts_compares_bytes():
@@ -199,10 +185,10 @@ def test_sym_eig_nan_run_raises_like_serial(solved):
     A[3:7] = np.nan
     with pytest.raises(np.linalg.LinAlgError) as serial:
         _serial(A)
-    with pytest.raises(np.linalg.LinAlgError) as deduplicated:
+    with pytest.raises(np.linalg.LinAlgError) as batched:
         sym_eig(A)
-    assert str(deduplicated.value) == str(serial.value)
-    assert solved == [9]
+    assert str(batched.value) == str(serial.value)
+    assert solved == [12]
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):

@@ -25,6 +25,7 @@ from conftest import (
     physical_flux,
     random_hyperbolic_state,
     random_state_batch,
+    rhs_every_interface,
     roe_equivalence_errors,
 )
 
@@ -246,6 +247,73 @@ def test_lake_at_rest_solves_no_symmetrizer(basis4, monkeypatch, scheme, policy)
     r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
     assert batches == [0]
     assert np.max(np.abs(r.rhs)) <= 1e-12
+
+
+_WINDOW_STATES = ["lake", "first", "last", "block", "signed_zero", "nan_bottom", "nan_velocity"]
+
+
+def _window_field(name, K, policy):
+    """A 12-cell field whose (h, u, B) jumps sit where the flux window's
+    edges and clips matter: none (a lake at rest), one at the first or the
+    last interface between interior cells, a random block between two
+    uniform ends, or one odd cell in a uniform state: a -0.0 in place of a
+    0.0, or a NaN in the bottom or in the velocity."""
+    rng = np.random.default_rng(60 + K)
+    nx = 12
+    h, q = random_state_batch(rng, nx, K)
+    B = 0.1 * rng.standard_normal((nx, K))
+    ends = {"first": (1, 0), "last": (nx - 1, nx - 2), "block": (4, 8)}
+    if name in ends:  # cells before ends[0] copy cell 0, those from ends[1] on copy the last
+        lo, hi = ends[name]
+        h[:lo], q[:lo], B[:lo] = h[0], q[0], B[0]
+        h[hi:], q[hi:], B[hi:] = h[-1], q[-1], B[-1]
+    else:
+        h[:], q[:], B[:] = h[0], 0.0, B[0] if name == "lake" else 0.0
+        if name == "signed_zero":
+            B[5, -1] = q[6, -1] = -0.0
+        elif name == "nan_bottom":
+            B[6, 0] = np.nan
+        elif name == "nan_velocity":
+            q[6, 0] = np.nan
+    return Field(h=h, q=q, bottom=B, dx=1.0 / nx, x_left=0.0, ghost_policy=policy)
+
+
+def _rhs_outcome(rhs, basis, solved, scheme):
+    try:
+        r = rhs(basis, solved, scheme, 1.0)
+    except np.linalg.LinAlgError as exc:
+        return ("raised", str(exc))
+    return r.rhs.shape, r.rhs.tobytes(), r.fluxes.shape, r.fluxes.tobytes()
+
+
+@pytest.mark.parametrize("name", _WINDOW_STATES)
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("policy", ["outflow", "periodic"])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_flux_window_matches_every_interface(monkeypatch, scheme, policy, K, name):
+    # semidiscrete_rhs runs interface_flux only on the cells around the jumps
+    # and copies the edge flux outward; rhs and fluxes must be the bytes of
+    # interface_flux on the whole padded stack, a NaN included
+    basis = build_basis(K)
+    solved = velocity(basis, _window_field(name, K, policy))
+    widths = []
+
+    def recorded(basis, h, *args):
+        widths.append(len(h))
+        return interface_flux(basis, h, *args)
+
+    monkeypatch.setattr(sgswe.schemes, "interface_flux", recorded)
+    got = _rhs_outcome(semidiscrete_rhs, basis, solved, scheme)
+    assert got == _rhs_outcome(rhs_every_interface, basis, solved, scheme)
+    # only the symmetrizer's eigh may fail, on a NaN velocity; otherwise a
+    # NaN reaches the rhs
+    assert got[0] != "raised" or (scheme is not SchemeKind.EC and name == "nan_velocity")
+    if name.startswith("nan") and got[0] != "raised":
+        assert np.isnan(np.frombuffer(got[1])).any()
+    if name == "lake":
+        assert widths == [2]
+    elif policy == "outflow":
+        assert widths[0] < 16
 
 
 _BASES = {K: build_basis(K) for K in (1, 2, 3, 5)}

@@ -26,7 +26,13 @@ from sgswe.timestep import (
     total_energy,
 )
 
-from conftest import CountingPool, distinct_eyes, random_state_batch
+from conftest import (
+    CountingPool,
+    distinct_eyes,
+    random_state_batch,
+    rhs_every_interface,
+    velocity_every_cell,
+)
 
 
 def _sine_field(basis, nx, amp=0.1, policy="periodic"):
@@ -290,24 +296,35 @@ def test_near_dry_run_restarts_and_stays_positive():
 def test_eigensolves_per_accepted_step(monkeypatch, scheme, k_per_step, k2_per_step):
     # one velocity solve per accepted state: 1 + 3n K x K for ec; es2 adds
     # one P(h_bar) solve per stage.  The 2K x 2K symmetrizer runs once per
-    # stage for es2 and twice per step for both: cfl_dt solves the cell with
-    # the largest speed bound, then the cells that can hold the largest
-    # spectral radius, each with its own P(h) solve.
+    # stage for es2, and cfl_dt solves the cell with the largest speed bound,
+    # then, only when other cells can hold the largest spectral radius,
+    # those cells, each with its own P(h) solve.  k_per_step and
+    # k2_per_step count a step whose cfl_dt makes both calls.
     basis = build_basis(3)
     calls = {3: 0, 6: 0}
-    sym_eig = sgswe.linalg.sym_eig
+    sym_eig, cfl_dt = sgswe.linalg.sym_eig, sgswe.timestep.cfl_dt
+    in_cfl = []
 
     def counted(A):
         calls[A.shape[-1]] += 1
         return sym_eig(A)
 
+    def tallied(*args):
+        before = calls[6]
+        dt = cfl_dt(*args)
+        in_cfl.append(calls[6] - before)
+        return dt
+
     for module in (sgswe.core, sgswe.timestep):
         monkeypatch.setattr(module, "sym_eig", counted)
+    monkeypatch.setattr(sgswe.timestep, "cfl_dt", tallied)
     _, records = integrate(basis, _dam_break_field(basis, 40), SchemeKind(scheme),
                            1.0, 0.45, 0.05)
     n = len(records) - 1
+    second = in_cfl.count(2)
     assert n >= 3 and records[-1].restarts == 0
-    assert calls == {3: 1 + k_per_step * n, 6: k2_per_step * n}
+    assert len(in_cfl) == n and set(in_cfl) <= {1, 2} and second < n
+    assert calls == {3: 1 + (k_per_step - 1) * n + second, 6: (k2_per_step - 1) * n + second}
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -425,20 +442,35 @@ def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
 
 
 def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
+    # per step: the cell with the largest speed bound, then, only if cells
+    # of other runs can hold the largest radius, the first cell of each such
+    # run of equal (h, u) rows
     basis = build_basis(3)
-    nx = 40
-    passed = []
+    nx = 100
+    calls, cfl_dt = [], sgswe.timestep.cfl_dt
 
-    def counted(A):
-        passed.append(len(A))
+    def tallied(basis, solved, g, cfl):
+        calls.append((solved, []))
+        return cfl_dt(basis, solved, g, cfl)
+
+    def recorded(A):
+        calls[-1][1].append(A)
         return sgswe.linalg.sym_eig(A)
 
-    monkeypatch.setattr(sgswe.timestep, "sym_eig", counted)
-    _, records = integrate(basis, _dam_break_field(basis, nx), SchemeKind.EC, 1.0, 0.45, 0.05)
-    # per step: the cell with the largest bound, then the cells kept
-    assert len(passed) == 2 * (len(records) - 1) >= 6
-    assert set(passed[::2]) == {1}
-    assert max(passed[3::2]) < nx, passed
+    monkeypatch.setattr(sgswe.timestep, "cfl_dt", tallied)
+    monkeypatch.setattr(sgswe.timestep, "sym_eig", recorded)
+    _, records = integrate(basis, _dam_break_field(basis, nx), SchemeKind.ES2, 1.0, 0.45, 0.05)
+    assert len(calls) == len(records) - 1 >= 3
+    for (vel, fld), passed in calls:
+        upper = _speed_bound(basis, vel, fld.h, 1.0)
+        top = np.argmax(upper)
+        r = np.max(np.abs(sgswe.linalg.sym_eig(passed[0])[0]))
+        rows = [fld.h[i].tobytes() + vel.u[i].tobytes() for i in range(nx)]
+        kept = [i for i in range(nx) if (i == 0 or rows[i] != rows[i - 1]) and i != top
+                and not upper[i] < (1.0 - 1e-12) * r]
+        assert [len(A) for A in passed] == [1] + ([len(kept)] if kept else [])
+    seconds = sum(len(passed) == 2 for _, passed in calls)
+    assert 0 < seconds < len(calls)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -483,15 +515,15 @@ def test_integrate_es2_chunked_eigensolves_bitwise(monkeypatch, pool):
 
 
 def test_integrate_es2_skipped_eigensolves_bitwise(monkeypatch):
-    # the same amplification makes this fail unless every eigensolve that
-    # sym_eig skips for an equal neighbour copies a bitwise-equal solution.
-    # The skip count is taken over the velocity solves, whose batches hold
-    # every cell: interface_flux passes sym_eig only the interfaces where
-    # [[V]] != 0, few of which have an equal neighbour.
+    # the same amplification makes this fail unless every P(h) solve that
+    # velocity skips for an equal neighbour copies a bitwise-equal solution.
+    # The skip is counted at velocity's input: cells passed in against P(h)
+    # matrices factorized.
     basis = build_basis(3)
     eigh, in_velocity, solved, passed = np.linalg.eigh, [], [], []
 
     def tallied_velocity(basis, field):
+        passed.append(field.nx)
         in_velocity.append(True)
         try:
             return velocity(basis, field)
@@ -503,23 +535,34 @@ def test_integrate_es2_skipped_eigensolves_bitwise(monkeypatch):
             solved.append(len(a))
         return eigh(a)
 
-    def plain(A):
-        if in_velocity:
-            passed.append(A[..., 0, 0].size)
-        return eigh(0.5 * (A + np.swapaxes(A, -1, -2)))
-
-    monkeypatch.setattr(sgswe.timestep, "velocity", tallied_velocity)
     with monkeypatch.context() as m:
+        m.setattr(sgswe.timestep, "velocity", tallied_velocity)
         m.setattr(np.linalg, "eigh", counting)
-        deduplicated = integrate(basis, _dam_break_field(basis, 100), SchemeKind.ES2,
+        fld, records = integrate(basis, _dam_break_field(basis, 100), SchemeKind.ES2,
                                  1.0, 0.45, 0.05)
-    for module in (sgswe.core, sgswe.timestep):
-        monkeypatch.setattr(module, "sym_eig", plain)
-    (fld, records), (ref, ref_records) = deduplicated, integrate(
-        basis, _dam_break_field(basis, 100), SchemeKind.ES2, 1.0, 0.45, 0.05)
+    monkeypatch.setattr(sgswe.timestep, "velocity", velocity_every_cell)
+    ref, ref_records = integrate(basis, _dam_break_field(basis, 100), SchemeKind.ES2,
+                                 1.0, 0.45, 0.05)
     assert len(records) > 3 and sum(solved) < sum(passed) / 2
     assert records == ref_records
     assert np.array_equal(fld.h, ref.h) and np.array_equal(fld.q, ref.q)
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_integrate_matches_the_unwindowed_oracles(monkeypatch, scheme):
+    # the whole run with velocity solving every cell and the flux evaluated
+    # at every interface gives the same records and final state, bit for bit
+    basis = build_basis(3)
+    runs = []
+    for oracles in (False, True):
+        with monkeypatch.context() as m:
+            if oracles:
+                m.setattr(sgswe.timestep, "velocity", velocity_every_cell)
+                m.setattr(sgswe.timestep, "semidiscrete_rhs", rhs_every_interface)
+            runs.append(integrate(basis, _dam_break_field(basis, 100), scheme, 1.0, 0.45, 0.05))
+    (fld, records), (ref, ref_records) = runs
+    assert len(records) > 3 and records == ref_records
+    assert fld.h.tobytes() == ref.h.tobytes() and fld.q.tobytes() == ref.q.tobytes()
 
 
 _FORK_BATCH = 2 * sgswe.linalg._MIN_CHUNK // 16  # two chunks of 4x4 solves
