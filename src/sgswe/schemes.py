@@ -105,14 +105,9 @@ def interface_flux(
     Pi = 1 for ES1.  ES2 limits only interfaces that have a neighbour on
     each side; the outermost two keep Pi = 1.
 
-    diff is evaluated only at the active interfaces, those with
-    V_L != V_R; a still far field or a lake at rest has none.  This is
-    exact: with V_L == V_R the same T maps equal values, so T^T [[V]] and
-    diff are 0 at that interface, and ES2's neighbour ratios read the same
-    0 from the zero-filled jumps.  NaN compares unequal, so a non-finite
-    state stays active and still reaches the solver.  The P(h_bar)
-    definiteness check of symmetrizer_eig therefore runs only at active
-    interfaces; every cell's P(h) is still checked in core.velocity.
+    Where V_L == V_R the same T maps equal values, so T^T [[V]] is 0 and
+    diff is +-0: the ES flux there is the EC flux bit for bit, but for
+    the sign of a zero component.
     """
     Phh = _mv(p_operator(basis, h), h)
     h_bar = 0.5 * (h[..., :-1, :] + h[..., 1:, :])
@@ -124,11 +119,8 @@ def interface_flux(
 
     if scheme is not SchemeKind.EC:
         V = _entropy_vars(basis, h, u, B, g)
-        V_left, V_right = V[..., :-1, :], V[..., 1:, :]
-        act = np.any(V_right != V_left, axis=-1)
-        T, lam = symmetrizer_eig(basis, h_bar[act], u_bar[act], g)
-        w_left, w_right = np.zeros_like(F), np.zeros_like(F)
-        w_left[act], w_right[act] = _mtv(T, V_left[act]), _mtv(T, V_right[act])
+        T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
+        w_left, w_right = _mtv(T, V[..., :-1, :]), _mtv(T, V[..., 1:, :])
         wjump = w_right - w_left
         weight = np.abs(lam)
         if scheme is SchemeKind.ES2:
@@ -140,8 +132,8 @@ def interface_flux(
                 w_left[..., 1:-1, :],
                 w_right[..., 1:-1, :],
             )
-            weight = weight * Pi[act]
-        F[act] -= 0.5 * _mv(T, weight * wjump[act])
+            weight = weight * Pi
+        F = F - 0.5 * _mv(T, weight * wjump)
     return InterfaceFlux(flux=F, Ph_bar=Ph_bar)
 
 
@@ -172,7 +164,8 @@ def semidiscrete_rhs(
 
     interface_flux runs on the padded cells from one before the first
     (h, u, B) byte jump to two after the last; an interface outside lies
-    between equal cells, so it is inactive and copies the window's edge.
+    between equal cells, so [[V]] = 0 there and it copies the window's
+    edge.
     """
     vel, field = solved
     nx = field.nx
