@@ -6,6 +6,7 @@ from .cli import SolverConfig, build_experiment, load_config
 from .core import (
     Field,
     Velocity,
+    positivity_check,
     project_bottom,
     symmetrizer_eig,
     velocity,
@@ -23,7 +24,6 @@ from .schemes import SchemeKind, interface_flux, semidiscrete_rhs
 from .timestep import (
     cfl_dt,
     integrate,
-    positivity_check,
     positivity_lambda,
     ssp_rk3_step,
     total_energy,

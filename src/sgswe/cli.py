@@ -22,11 +22,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .basis import PceBasis, build_basis, eval_basis, mean_variance
-from .core import Field, project_bottom, velocity
+from .core import Field, positivity_check, project_bottom, velocity
 from .errors import ConfigError, SolverError
 from .linalg import _run_starts
 from .schemes import SchemeKind, semidiscrete_rhs
-from .timestep import StepRecord, integrate, positivity_check
+from .timestep import StepRecord, integrate
 
 __all__ = [
     "SolverConfig",

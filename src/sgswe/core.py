@@ -14,12 +14,13 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .basis import PceBasis, p_operator
-from .errors import HyperbolicityError
+from .errors import HyperbolicityError, PositivityError
 from .linalg import _mtv, _mv, _run_starts, sym_eig
 
 __all__ = [
     "Velocity",
     "Field",
+    "positivity_check",
     "velocity",
     "symmetrizer_eig",
     "project_bottom",
@@ -30,12 +31,15 @@ __all__ = [
 @dataclass(frozen=True)
 class Velocity:
     """Velocity coefficients u, per-cell flags telling where the regularized
-    inverse deviated from the exact one, and the P(h) that the solve
-    inverted."""
+    inverse deviated from the exact one, the P(h) that the solve inverted,
+    the positive node heights h(xi_m) and the starts of the runs of
+    byte-equal (h, q) rows it solved once each."""
 
     u: np.ndarray = dc_field(repr=False)
     desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
     Ph: np.ndarray = dc_field(repr=False)
+    node_h: np.ndarray = dc_field(repr=False)  # shape (nx, 2K)
+    runs: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
 
 
 @dataclass
@@ -86,6 +90,17 @@ def pad_ghosts(arr: np.ndarray, policy: str) -> np.ndarray:
     raise ValueError(f"unknown ghost policy {policy!r}")
 
 
+def positivity_check(basis: PceBasis, h: np.ndarray) -> np.ndarray:
+    """Node heights h_i(xi_m), shape (nx, M); raises PositivityError naming
+    the first cell and node whose height is not positive."""
+    node_h = h @ basis.basis_table.T
+    bad = ~(node_h > 0.0)
+    if np.any(bad):
+        i, m = map(int, np.argwhere(bad)[0])
+        raise PositivityError(f"nonpositive node height {node_h[i, m]:.6e}", cell=i, node=m)
+    return node_h
+
+
 def _p_eig(basis: PceBasis, h: np.ndarray, cells=None):
     """P(h) with its eigenvalues and eigenvectors; raises HyperbolicityError
     naming the batch index with the smallest eigenvalue, or cells[index]
@@ -106,7 +121,9 @@ def _p_eig(basis: PceBasis, h: np.ndarray, cells=None):
 
 def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
     """Velocity u of every cell from the (regularized) inverse of P(h)
-    applied to q, with the field whose discharge matches it.
+    applied to q, with the field whose discharge matches it.  A node height
+    that is not positive raises PositivityError, naming cell and node,
+    before any P(h) is factorized; positive ones make P(h) SPD.
 
     Eigenvalues pi of P(h) below eps are replaced by
     sqrt(pi^4 + max(pi^4, eps^4)) / (sqrt(2) pi), which leaves pi >= eps
@@ -121,6 +138,7 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
     solved once and copied; a cell's solve does not depend on the batch, so
     the copies are bitwise exact.
     """
+    node_h = positivity_check(basis, field.h)
     eps = field.dx
     new = _run_starts(np.concatenate([field.h, field.q], axis=1))
     owner = np.cumsum(new) - 1
@@ -135,7 +153,7 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
         q_new = np.where(activated[..., None], _mv(Ph, u), field.q[new])[owner]
     else:
         q_new = field.q
-    return Velocity(u[owner], activated[owner], Ph[owner]), replace(field, q=q_new)
+    return Velocity(u[owner], activated[owner], Ph[owner], node_h, new), replace(field, q=q_new)
 
 
 def _normalize_columns(L: np.ndarray) -> np.ndarray:

@@ -16,16 +16,14 @@ import numpy as np
 from .basis import PceBasis
 from .core import Field, Velocity, _symmetrizer_matrix, velocity
 from .entropy import energy
-from .errors import BlowUpError, DtUnderflowError, PositivityError, SolverError
-from .linalg import _mv, _run_starts, sym_eig
+from .errors import BlowUpError, DtUnderflowError, SolverError
+from .linalg import _mv, sym_eig
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
 __all__ = [
-    "positivity_check",
     "positivity_lambda",
     "cfl_dt",
     "total_energy",
-    "min_node_height",
     "StepResult",
     "StepRecord",
     "ssp_rk3_step",
@@ -36,38 +34,24 @@ __all__ = [
 _DT_FLOOR_FRAC = 1e-14
 
 
-def positivity_check(basis: PceBasis, h: np.ndarray) -> np.ndarray:
-    """Node heights h_i(xi_m), shape (nx, M); raises PositivityError naming
-    the first cell and node whose height is not positive."""
-    node_h = h @ basis.basis_table.T
-    bad = ~(node_h > 0.0)
-    if np.any(bad):
-        i, m = np.argwhere(bad)[0]
-        raise PositivityError(
-            f"nonpositive node height {node_h[i, m]:.6e}", cell=int(i), node=int(m)
-        )
-    return node_h
-
-
 def positivity_lambda(
-    basis: PceBasis, h: np.ndarray, fluxes: np.ndarray, dx: float
+    basis: PceBasis, node_h: np.ndarray, fluxes: np.ndarray, dx: float
 ) -> float:
     """Largest Euler step that keeps all node heights nonnegative.
 
     lambda = min over cells i and nodes m of |dx h_i(xi_m) / (F+ - F-)(xi_m)|
     evaluated on the height block of the interface fluxes; vanishing flux
-    differences contribute +inf.  Requires positive node heights on entry.
+    differences contribute +inf.  node_h is Velocity.node_h, checked positive.
     """
-    node_h = positivity_check(basis, h)
     node_F = fluxes[:, : basis.K] @ basis.basis_table.T
     dF = node_F[1:] - node_F[:-1]
     ratio = np.where(dF != 0.0, np.abs(dx * node_h / np.where(dF == 0.0, 1.0, dF)), np.inf)
     return float(ratio.min())
 
 
-def _speed_bound(basis: PceBasis, vel: Velocity, h: np.ndarray, g: float) -> np.ndarray:
+def _speed_bound(basis: PceBasis, vel: Velocity, g: float) -> np.ndarray:
     """Upper bound on each cell's flux-Jacobian spectral radius, from the
-    velocity solve vel of the cell heights h.
+    velocity solve vel and its positive node heights vel.node_h.
 
     With the 2K Gauss nodes of build_basis, P(a) = A^T diag(a(xi_m)) A with
     A^T A = I, so the spectrum of P(a) lies between a's node values.  D of
@@ -75,19 +59,14 @@ def _speed_bound(basis: PceBasis, vel: Velocity, h: np.ndarray, g: float) -> np.
     G = sqrt(g P(h)), C = P(h)^(-1/2) P(q~) P(h)^(-1/2) and q~ = P(h) u, and
     the norms of its blocks are at most a = max|u(xi_m)|,
     c = sqrt(g max h(xi_m)) and w = max|q~(xi_m) / h(xi_m)|.  The bound is
-    the norm of [[a, c], [c, w]], or +inf in a cell with a node height <= 0.
-    For K = 1 it is |u| + sqrt(g h).
+    the norm of [[a, c], [c, w]].  For K = 1 it is |u| + sqrt(g h).
     """
     table = basis.basis_table
-    node_h = h @ table.T
     node_q = _mv(vel.Ph, vel.u) @ table.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.max(np.abs(vel.u @ table.T), axis=-1)
-        c = np.sqrt(g * np.max(node_h, axis=-1))
-        w = np.max(np.abs(node_q / node_h), axis=-1)
-        upper = 0.5 * (a + w) + np.sqrt((0.5 * (a - w)) ** 2 + c**2)
-    upper[~np.all(node_h > 0.0, axis=-1)] = np.inf
-    return upper
+    a = np.max(np.abs(vel.u @ table.T), axis=-1)
+    c = np.sqrt(g * np.max(vel.node_h, axis=-1))
+    w = np.max(np.abs(node_q / vel.node_h), axis=-1)
+    return 0.5 * (a + w) + np.sqrt((0.5 * (a - w)) ** 2 + c**2)
 
 
 def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float) -> float:
@@ -100,9 +79,9 @@ def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float
     a cell whose bound is below (1 - 1e-12) r cannot set dt.  The slack
     absorbs the bound's rounding, so every cell holding the maximum stays,
     as does every cell whose bound is not finite.  The others left, one per
-    run of byte-equal (h, u) rows, go to a second sym_eig call if any.  A
-    cell's D and its eigenvalues do not depend on the rest of the batch, so
-    dt is bitwise the dt of solving every cell.
+    run of velocity's solve (vel.runs; its (h, u) rows are copies), go to a
+    second sym_eig call if any.  A cell's D and its eigenvalues do not depend
+    on the rest of the batch, so dt is bitwise the dt of solving every cell.
     """
     vel, field = solved
 
@@ -110,10 +89,10 @@ def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float
         lam, _ = sym_eig(_symmetrizer_matrix(basis, field.h[cells], vel.u[cells], g)[0])
         return np.max(np.abs(lam))
 
-    upper = _speed_bound(basis, vel, field.h, g)
+    upper = _speed_bound(basis, vel, g)
     top = np.argmax(upper)
     r = radius([top])
-    keep = ~(upper < (1.0 - 1e-12) * r) & _run_starts(np.concatenate([field.h, vel.u], axis=1))
+    keep = ~(upper < (1.0 - 1e-12) * r) & vel.runs
     keep[top] = False
     return cfl * field.dx / float(np.maximum(r, radius(keep)) if keep.any() else r)
 
@@ -123,10 +102,6 @@ def total_energy(solved: tuple[Velocity, Field], g: float) -> float:
     vel, field = solved
     e = energy(field.h, field.q, field.bottom, g, vel.u)
     return field.dx * float(np.sum(e))
-
-
-def min_node_height(basis: PceBasis, field: Field) -> float:
-    return float((field.h @ basis.basis_table.T).min())
 
 
 def _check_finite(h: np.ndarray, q: np.ndarray, t: float):
@@ -189,7 +164,7 @@ def ssp_rk3_step(
     field = solved[1]
     _check_finite(field.h, field.q, t)
     r0 = semidiscrete_rhs(basis, solved, scheme, g)
-    lam0 = positivity_lambda(basis, field.h, r0.fluxes, field.dx)
+    lam0 = positivity_lambda(basis, solved[0].node_h, r0.fluxes, field.dx)
     dt = min(cfl_dt(basis, solved, g, cfl), 0.9 * lam0, t_target - t)
     floor = _DT_FLOOR_FRAC * t_final
     restarts = 0
@@ -205,8 +180,9 @@ def ssp_rk3_step(
             _check_finite(stage.h, stage.q, t)
             if k == 2:
                 return StepResult(field=stage, t=t + dt, dt=dt, lam=lam0, restarts=restarts)
-            r = semidiscrete_rhs(basis, velocity(basis, stage), scheme, g)
-            lam = positivity_lambda(basis, r.field.h, r.fluxes, field.dx)
+            solved = velocity(basis, stage)
+            r = semidiscrete_rhs(basis, solved, scheme, g)
+            lam = positivity_lambda(basis, solved[0].node_h, r.fluxes, field.dx)
             if 0.9 * lam < dt:
                 dt = 0.9 * lam
                 restarts += 1
@@ -254,7 +230,7 @@ def integrate(
         """Append field's StepRecord and return its velocity solve."""
         solved = velocity(basis, field)
         e_total = total_energy(solved, g)
-        records.append(StepRecord(t, dt, lam, restarts, e_total, min_node_height(basis, field)))
+        records.append(StepRecord(t, dt, lam, restarts, e_total, float(solved[0].node_h.min())))
         return solved
 
     try:

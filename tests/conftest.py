@@ -7,7 +7,7 @@ import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, eval_basis, mean_variance, p_operator
-from sgswe.core import Velocity, _p_eig, pad_ghosts, symmetrizer_eig
+from sgswe.core import Velocity, _p_eig, pad_ghosts, positivity_check, symmetrizer_eig
 from sgswe.entropy import energy
 from sgswe.linalg import _mtv, sym_eig
 from sgswe.schemes import RhsResult, interface_flux
@@ -73,6 +73,19 @@ def pool(monkeypatch):
     counting = CountingPool(sgswe.linalg._executor())
     monkeypatch.setattr(sgswe.linalg, "_executor", lambda: counting)
     return counting
+
+
+@pytest.fixture
+def factorized(monkeypatch):
+    """The number of matrices each np.linalg.eigh call receives."""
+    sizes, eigh = [], np.linalg.eigh
+
+    def counting(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return sizes
 
 
 def distinct_eyes(n, count):
@@ -177,7 +190,9 @@ def interface_energy_flux(basis, h, u, B, F, g):
 
 def velocity_every_cell(basis, field):
     """sgswe.core.velocity with one P(h) solve per cell, equal neighbours or
-    not: the oracle its per-run solves must match byte for byte."""
+    not: the oracle its per-run solves must match byte for byte.  Every
+    cell starts a run of its own."""
+    node_h = positivity_check(basis, field.h)
     eps = field.dx
     Ph, pi, Q = _p_eig(basis, field.h)
     small = pi < eps
@@ -187,7 +202,8 @@ def velocity_every_cell(basis, field):
     activated = np.any(small, axis=-1)
     u = _mv(Q, _mtv(Q, field.q) / pi_reg)
     q_new = np.where(activated[..., None], _mv(Ph, u), field.q) if np.any(activated) else field.q
-    return Velocity(u, activated, Ph), replace(field, q=q_new)
+    runs = np.ones(field.nx, dtype=bool)
+    return Velocity(u, activated, Ph, node_h, runs), replace(field, q=q_new)
 
 
 def rhs_every_interface(basis, solved, scheme, g):

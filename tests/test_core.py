@@ -9,12 +9,14 @@ import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import (
     Field,
+    _p_eig,
     pad_ghosts,
     project_bottom,
     symmetrizer_eig,
     velocity,
 )
-from sgswe.errors import HyperbolicityError
+from sgswe.errors import HyperbolicityError, PositivityError
+from sgswe.linalg import _run_starts
 
 from conftest import (
     exact_u,
@@ -78,28 +80,27 @@ def test_velocity_threshold_inactive_above_eps():
     assert velocity(basis, coarse)[0].desingularized.all()
 
 
-def test_velocity_raises_on_hyperbolicity_loss(basis4):
+def test_velocity_raises_on_hyperbolicity_loss(basis4, factorized):
+    # a cell whose node heights are all -1: velocity rejects it by its node
+    # heights before any P(h) is factorized; the P(h) solve itself would
+    # find a negative eigenvalue in the same cell
     rng = np.random.default_rng(6)
     h, q = random_state_batch(rng, 8, 4)
     h[5] = [-1.0, 0.0, 0.0, 0.0]
     fld = Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.01, x_left=0.0)
-    with pytest.raises(HyperbolicityError) as info:
+    with pytest.raises(PositivityError) as info:
         velocity(basis4, fld)
-    assert info.value.cell == 5  # the interior cell of the 8-cell field
-    assert info.value.detail < 0.0
+    assert (info.value.cell, info.value.node) == (5, 0)  # the interior cell of the 8-cell field
+    assert factorized == []
+    with pytest.raises(HyperbolicityError) as info:
+        _p_eig(basis4, h)
+    assert info.value.cell == 5 and info.value.detail < 0.0
 
 
-@pytest.fixture
-def factorized(monkeypatch):
-    """The number of matrices each np.linalg.eigh call receives."""
-    sizes, eigh = [], np.linalg.eigh
-
-    def counting(a):
-        sizes.append(len(a))
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return sizes
+def _runs_of(fld):
+    """velocity's run starts of fld and the cells they index."""
+    new = _run_starts(np.concatenate([fld.h, fld.q], axis=1))
+    return new, np.flatnonzero(new)
 
 
 def _field_with_runs(rng, K, lengths, dx=0.05):
@@ -112,7 +113,7 @@ def _assert_solved_like(solved, ref):
     """velocity's result is byte for byte the per-cell oracle's."""
     (vel, out), (ref_vel, ref_out) = solved, ref
     for a, b in [(vel.u, ref_vel.u), (vel.desingularized, ref_vel.desingularized),
-                 (vel.Ph, ref_vel.Ph), (out.q, ref_out.q)]:
+                 (vel.Ph, ref_vel.Ph), (vel.node_h, ref_vel.node_h), (out.q, ref_out.q)]:
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -126,6 +127,7 @@ def test_velocity_solves_each_run_once(factorized, K):
     factorized.clear()
     solved = velocity(basis, fld)
     _assert_solved_like(solved, ref)
+    assert solved[0].runs.tolist() == _runs_of(fld)[0].tolist()
     assert sum(factorized) == 6
     assert np.flatnonzero(solved[0].desingularized).tolist() == [7, 8, 9]
 
@@ -164,26 +166,48 @@ def test_velocity_solves_signed_zeros_and_ulps_apart(factorized):
 
 
 def test_velocity_nan_run_raises_like_per_cell(basis4, factorized):
+    # a NaN node height is not positive: velocity raises before any solve,
+    # as the per-cell oracle does; the P(h) solve of the runs fails on the
+    # NaN run as the solve of every cell does
     fld = _field_with_runs(np.random.default_rng(42), 4, [1, 1, 1, 4, 1, 1, 1, 1, 1])
     fld.h[3:7] = np.nan
+    errors = []
+    for solve in (velocity, velocity_every_cell):
+        with pytest.raises(PositivityError) as info:
+            solve(basis4, fld)
+        errors.append((str(info.value), info.value.cell, info.value.node))
+    assert errors[0] == errors[1] and errors[0][1:] == (3, 0)
+    assert factorized == []
+    new, cells = _runs_of(fld)
     with pytest.raises(np.linalg.LinAlgError) as per_cell:
-        velocity_every_cell(basis4, fld)
+        _p_eig(basis4, fld.h)
     factorized.clear()
     with pytest.raises(np.linalg.LinAlgError) as per_run:
-        velocity(basis4, fld)
+        _p_eig(basis4, fld.h[new], cells)
     assert str(per_run.value) == str(per_cell.value)
     assert factorized == [9]
 
 
-def test_velocity_error_names_the_first_cell_of_its_run(basis4):
-    # run 0 is solved once, so the bad run is row 3 of the solved batch; the
-    # error still names its first cell, 7, as the per-cell solve does
+def test_velocity_error_names_the_first_cell_of_its_run(basis4, factorized):
+    # velocity names the first bad cell, 7, by its node heights before any
+    # solve.  The P(h) solve of the runs, where run 0 is solved once and
+    # the bad run is row 3 of the batch, names the same cell through its
+    # cells map, as the solve of every cell does
     fld = _field_with_runs(np.random.default_rng(43), 4, [5, 1, 1, 4, 1])
     fld.h[7:11] = [-1.0, 0.0, 0.0, 0.0]
     errors = []
     for solve in (velocity, velocity_every_cell):
-        with pytest.raises(HyperbolicityError) as info:
+        with pytest.raises(PositivityError) as info:
             solve(basis4, fld)
+        errors.append((str(info.value), info.value.cell, info.value.node))
+    assert errors[0] == errors[1] and errors[0][1:] == (7, 0)
+    assert factorized == []
+    new, cells = _runs_of(fld)
+    assert cells[3] == 7
+    errors = []
+    for args in ((fld.h[new], cells), (fld.h,)):
+        with pytest.raises(HyperbolicityError) as info:
+            _p_eig(basis4, *args)
         errors.append((str(info.value), info.value.cell, info.value.detail))
     assert errors[0] == errors[1] and errors[0][1] == 7
 

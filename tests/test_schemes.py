@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import sgswe.linalg
 import sgswe.schemes
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import Field, _p_eig, pad_ghosts, symmetrizer_eig, velocity
-from sgswe.errors import HyperbolicityError
+from sgswe.core import Field, _p_eig, pad_ghosts, positivity_check, symmetrizer_eig, velocity
+from sgswe.errors import HyperbolicityError, PositivityError
+from sgswe.linalg import _run_starts
 from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
-from sgswe.timestep import integrate, positivity_check
+from sgswe.timestep import integrate
 
 from conftest import (
     energy_flux,
@@ -404,47 +405,58 @@ def test_pair_stack_matches_separate_pairs(basis4, scheme):
             assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
 
 
+def _assert_positivity_error(call, cell, factorized):
+    """call raises PositivityError naming cell and its first node, whose
+    height is -1, before any P(h) is factorized."""
+    factorized.clear()
+    with pytest.raises(PositivityError) as info:
+        call()
+    assert (info.value.cell, info.value.node) == (cell, 0)
+    assert factorized == []
+    return info.value
+
+
 @pytest.mark.parametrize("policy", ["outflow", "periodic"])
-def test_hyperbolicity_error_names_interior_cell(basis4, policy):
+def test_hyperbolicity_error_names_interior_cell(basis4, policy, factorized):
+    # the cell's node heights are all -1, so velocity and integrate stop on
+    # them before any solve, naming the interior cell and, from integrate,
+    # the time
     rng = np.random.default_rng(15)
     fld = _random_field(rng, 12, 4, policy=policy)
     fld.h[5] = [-1.0, 0.0, 0.0, 0.0]
-    for call in (
-        lambda: velocity(basis4, fld),
-        lambda: integrate(basis4, fld, SchemeKind.ES2, 1.0, 0.45, 0.01),
-    ):
-        with pytest.raises(HyperbolicityError) as info:
-            call()
-        assert info.value.cell == 5
+    _assert_positivity_error(lambda: velocity(basis4, fld), 5, factorized)
+    error = _assert_positivity_error(
+        lambda: integrate(basis4, fld, SchemeKind.ES2, 1.0, 0.45, 0.01), 5, factorized)
+    assert error.t == 0.0
 
 
-def test_hyperbolicity_error_index_from_last_chunk(basis4, monkeypatch):
-    # with the batch split across threads, the error still names the global
-    # batch index and the interior cell: chunk order is kept
+def test_hyperbolicity_error_index_from_last_chunk(basis4, monkeypatch, factorized):
+    # with the batch split across threads, the P(h) solve still names the
+    # global batch index and the interior cell: chunk order is kept
     monkeypatch.setattr(sgswe.linalg, "_WIDTH", 3)
     nx = 5 * sgswe.linalg._MIN_CHUNK // 16 + 1  # five chunks' worth of 4x4 solves
     fld = _random_field(np.random.default_rng(16), nx, 4)
     fld.h[nx - 2] = [-1.0, 0.0, 0.0, 0.0]
-    for call in (
-        lambda: _p_eig(basis4, fld.h),
-        lambda: velocity(basis4, fld),
-    ):
-        with pytest.raises(HyperbolicityError) as info:
-            call()
-        assert info.value.cell == nx - 2
+    with pytest.raises(HyperbolicityError) as info:
+        _p_eig(basis4, fld.h)
+    assert info.value.cell == nx - 2
+    _assert_positivity_error(lambda: velocity(basis4, fld), nx - 2, factorized)
 
 
-def test_hyperbolicity_error_names_first_cell_of_a_run(basis4):
-    # sym_eig solves the run once; the error still names its first cell
+def test_hyperbolicity_error_names_first_cell_of_a_run(basis4, factorized):
+    # the P(h) solve of velocity's runs solves the bad run once and names
+    # its first cell through the cells map, as the solve of every cell does
     fld = _random_field(np.random.default_rng(17), 20, 4)
     fld.h[7:12] = [-1.0, 0.0, 0.0, 0.0]
+    new = _run_starts(np.concatenate([fld.h, fld.q], axis=1))
     for call in (
         lambda: _p_eig(basis4, fld.h),
-        lambda: velocity(basis4, fld),
+        lambda: _p_eig(basis4, fld.h[new], np.flatnonzero(new)),
     ):
         with pytest.raises(HyperbolicityError) as info:
             call()
         assert info.value.cell == 7
+    _assert_positivity_error(lambda: velocity(basis4, fld), 7, factorized)
 
 
 def test_conservation_telescopes(basis4):

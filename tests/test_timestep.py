@@ -12,15 +12,13 @@ import sgswe.core
 import sgswe.linalg
 import sgswe.timestep
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import Field, symmetrizer_eig, velocity
-from sgswe.errors import BlowUpError, DtUnderflowError, HyperbolicityError, PositivityError
+from sgswe.core import Field, positivity_check, symmetrizer_eig, velocity
+from sgswe.errors import BlowUpError, DtUnderflowError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
     _speed_bound,
     cfl_dt,
     integrate,
-    min_node_height,
-    positivity_check,
     positivity_lambda,
     ssp_rk3_step,
     total_energy,
@@ -86,16 +84,16 @@ def test_positivity_check_reports_first_violation():
 def test_positivity_lambda_single_cell_value():
     # K = 1: one cell with h = 1, flux difference 2, dx = 0.5 gives 0.25
     basis = build_basis(1)
-    h = np.array([[1.0]])
+    node_h = positivity_check(basis, np.array([[1.0]]))
     fluxes = np.array([[0.0, 0.0], [2.0, 0.0]])
-    assert positivity_lambda(basis, h, fluxes, 0.5) == pytest.approx(0.25, rel=1e-14)
+    assert positivity_lambda(basis, node_h, fluxes, 0.5) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_positivity_lambda_zero_difference_is_unbounded():
     basis = build_basis(1)
-    h = np.array([[1.0]])
+    node_h = positivity_check(basis, np.array([[1.0]]))
     fluxes = np.array([[3.0, 0.0], [3.0, 0.0]])
-    assert positivity_lambda(basis, h, fluxes, 0.5) == np.inf
+    assert positivity_lambda(basis, node_h, fluxes, 0.5) == np.inf
 
 
 def test_cfl_dt_still_water_value():
@@ -148,7 +146,7 @@ def test_adaptive_step_respects_cfl_and_positivity():
     step = ssp_rk3_step(basis, solved, SchemeKind.ES2, 1.0, 0.45, 0.0, 1.0, 1.0)
     assert step.dt <= cfl_dt(basis, solved, 1.0, 0.45) + 1e-15
     assert step.dt <= 0.9 * step.lam
-    assert min_node_height(basis, step.field) > 0.0
+    positivity_check(basis, step.field.h)  # raises on a node height <= 0
 
 
 def test_step_clamps_to_target():
@@ -189,17 +187,18 @@ def test_integrate_non_finite_initial_height_blows_up():
     [("velocity", 1, 0), ("velocity", 8, 2), ("velocity", 10, 3), ("positivity_check", 8, 2)],
 )
 def test_integrate_errors_name_the_time(monkeypatch, name, call, start):
-    # without restarts, an ec step solves 2 stage velocities, its start and
-    # stage states' positivity bounds (3 positivity_check calls), then the
-    # record's velocity; call 1 of velocity is the initial record.  The
-    # call-th call gets negated heights and raises at its own site with no
-    # time; integrate names the time of records[start], the state that the
-    # failing step or record started from.
+    # without restarts, an ec step solves 2 stage velocities, then the
+    # record's velocity; call 1 of velocity is the initial record.  Each
+    # velocity checks its node heights first, so positivity_check is called
+    # as often.  The call-th call gets negated heights and raises
+    # PositivityError with no time; integrate names the time of
+    # records[start], the state that the failing step or record started
+    # from.
     basis = build_basis(3)
     fld = _sine_field(basis, 16)
     _, records = integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.2)
     assert len(records) > 4 and records[-1].restarts == 0
-    real, calls = getattr(sgswe.timestep, name), []
+    real, calls = getattr(sgswe.core, name), []
 
     def failing(basis, arg):
         calls.append(arg)
@@ -207,9 +206,8 @@ def test_integrate_errors_name_the_time(monkeypatch, name, call, start):
             arg = replace(arg, h=-arg.h) if name == "velocity" else -arg
         return real(basis, arg)
 
-    monkeypatch.setattr(sgswe.timestep, name, failing)
-    error = HyperbolicityError if name == "velocity" else PositivityError
-    with pytest.raises(error) as err:
+    monkeypatch.setattr(sgswe.timestep if name == "velocity" else sgswe.core, name, failing)
+    with pytest.raises(PositivityError) as err:
         integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, 0.2)
     assert err.value.t == records[start].t
 
@@ -280,16 +278,33 @@ def test_total_energy_matches_hand_sum():
     assert total_energy((vel, out), 1.0) == pytest.approx(fld.dx * float(np.sum(e)), rel=1e-14)
 
 
-def test_near_dry_run_restarts_and_stays_positive():
+def test_near_dry_run_restarts_and_stays_positive(monkeypatch):
+    # every positivity bound, of a step's start or of a later stage, reads
+    # the node heights of the state whose fluxes it is given
     basis = build_basis(3)
     nx, K = 60, 3
     dx = 1.0 / nx
     h = np.zeros((nx, K))
     h[:, 0] = np.where(np.arange(nx) < nx // 2, 1.0, 0.01)
     fld = Field(h=h, q=np.zeros((nx, K)), bottom=np.zeros((nx, K)), dx=dx, x_left=0.0)
+    bounds, rhs, lam = [], sgswe.timestep.semidiscrete_rhs, sgswe.timestep.positivity_lambda
+
+    def rhs_seen(*args):
+        bounds.append([rhs(*args)])
+        return bounds[-1][0]
+
+    def lam_seen(basis, node_h, fluxes, dx):
+        bounds[-1] += [node_h, fluxes]
+        return lam(basis, node_h, fluxes, dx)
+
+    monkeypatch.setattr(sgswe.timestep, "semidiscrete_rhs", rhs_seen)
+    monkeypatch.setattr(sgswe.timestep, "positivity_lambda", lam_seen)
     final, records = integrate(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.02)
     assert all(r.min_node_height > 0.0 for r in records)
     assert records[-1].restarts > 0
+    for r, node_h, fluxes in bounds:
+        assert fluxes is r.fluxes
+        assert node_h.tobytes() == (r.field.h @ basis.basis_table.T).tobytes()
 
 
 @pytest.mark.parametrize("scheme, k_per_step, k2_per_step", [("ec", 5, 2), ("es2", 8, 5)])
@@ -344,6 +359,7 @@ def test_record_energy_is_standalone_total_energy(monkeypatch, scheme):
     assert len(states) == len(records)
     for rec, state in zip(records, states):
         assert rec.energy == total_energy(velocity(basis, state), 1.0)
+        assert rec.min_node_height == float(np.min(state.h @ basis.basis_table.T))
 
 
 def _near_eps_heights(rng, n, basis, lowest):
@@ -375,35 +391,46 @@ def _cfl_states():
     q = rng.standard_normal((30, 4)) * h[:, :1]
     yield "desingularized", basis, Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30,
                                          x_left=0.0)
-    # cells 3 and 17 have a node height below 0 with P(h) still SPD; without
-    # the positivity condition their upper bounds would read 9.05 and 24.5,
-    # but their radii are 21.0, the grid's largest, and 19.3
-    h, q = random_state_batch(rng, 30, 4)
-    h[[3, 17]] = [[1.0, 0.437, 0.305, 0.606], [1.0, 0.159, -0.094, 0.331]]
-    u = np.array([[-0.947, -3.565, -0.453, 0.793], [1.07, -2.735, -7.578, -2.719]])
-    q[[3, 17]] = np.einsum("nij,nj->ni", p_operator(basis, h[[3, 17]]), u)
-    yield "nonpositive node", basis, Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30,
-                                           x_left=0.0)
 
 
 def test_cfl_dt_with_passed_velocity_is_bitwise():
     seen = set()
     for name, basis, fld in _cfl_states():
         solved = velocity(basis, fld)
-        node_h = fld.h @ basis.basis_table.T
         if np.any(solved[0].desingularized):
             seen.add("desingularized")
-        if np.any(node_h <= 0.0):
-            seen.add("nonpositive node")
-            assert np.all(np.linalg.eigvalsh(solved[0].Ph) > 0.0)
         # the bound over every cell, with its own P(h) eigensolve
         _, lam = symmetrizer_eig(basis, fld.h, solved[0].u, 1.0)
         rho = np.max(np.abs(lam), axis=-1)
-        if rho[np.argmax(_speed_bound(basis, solved[0], fld.h, 1.0))] < np.max(rho):
+        if rho[np.argmax(_speed_bound(basis, solved[0], 1.0))] < np.max(rho):
             seen.add("largest bound not fastest")  # its radius alone is not dt
         expected = 0.45 * fld.dx / float(np.max(rho))
         assert cfl_dt(basis, solved, 1.0, 0.45) == expected, name
-    assert seen == {"desingularized", "nonpositive node", "largest bound not fastest"}
+    assert seen == {"desingularized", "largest bound not fastest"}
+
+
+def test_velocity_rejects_a_nonpositive_node_with_spd_p(factorized):
+    # cells 3 and 17 have a node height below 0 while P(h) is still SPD, so
+    # only the node heights tell: velocity names cell 3 and its node before
+    # any eigensolve, and integrate adds the time of the state
+    basis = build_basis(4)
+    h, q = random_state_batch(np.random.default_rng(21), 30, 4)
+    h[[3, 17]] = [[1.0, 0.437, 0.305, 0.606], [1.0, 0.159, -0.094, 0.331]]
+    u = np.array([[-0.947, -3.565, -0.453, 0.793], [1.07, -2.735, -7.578, -2.719]])
+    q[[3, 17]] = np.einsum("nij,nj->ni", p_operator(basis, h[[3, 17]]), u)
+    fld = Field(h=h, q=q, bottom=np.zeros((30, 4)), dx=1.0 / 30, x_left=0.0)
+    node_h = h @ basis.basis_table.T
+    assert np.flatnonzero(np.any(node_h <= 0.0, axis=1)).tolist() == [3, 17]
+    assert np.all(np.linalg.eigvalsh(p_operator(basis, h[[3, 17]])) > 0.0)
+    factorized.clear()
+    for call in (lambda: velocity(basis, fld),
+                 lambda: integrate(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.01)):
+        with pytest.raises(PositivityError) as err:
+            call()
+        assert (err.value.cell, err.value.node) == (3, int(np.argmax(node_h[3] <= 0.0)))
+        assert str(err.value) == f"nonpositive node height {node_h[3, err.value.node]:.6e}"
+    assert err.value.t == 0.0
+    assert factorized == []
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -432,7 +459,7 @@ def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
         q = rng.uniform(0.0, 3.0) * rng.standard_normal((n, K)) * h[:, :1]
     fld = Field(h=h, q=q, bottom=np.zeros((n, K)), dx=dx, x_left=0.0)
     vel, _ = velocity(basis, fld)
-    upper = _speed_bound(basis, vel, h, g)
+    upper = _speed_bound(basis, vel, g)
     _, lam = symmetrizer_eig(basis, h, vel.u, g)
     rho = np.max(np.abs(lam), axis=-1)
     assert np.all(rho * (1.0 - 1e-12) <= upper)
@@ -444,7 +471,7 @@ def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
 def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
     # per step: the cell with the largest speed bound, then, only if cells
     # of other runs can hold the largest radius, the first cell of each such
-    # run of equal (h, u) rows
+    # run of velocity's solve, a run of equal (h, q) rows
     basis = build_basis(3)
     nx = 100
     calls, cfl_dt = [], sgswe.timestep.cfl_dt
@@ -462,10 +489,10 @@ def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
     _, records = integrate(basis, _dam_break_field(basis, nx), SchemeKind.ES2, 1.0, 0.45, 0.05)
     assert len(calls) == len(records) - 1 >= 3
     for (vel, fld), passed in calls:
-        upper = _speed_bound(basis, vel, fld.h, 1.0)
+        upper = _speed_bound(basis, vel, 1.0)
         top = np.argmax(upper)
         r = np.max(np.abs(sgswe.linalg.sym_eig(passed[0])[0]))
-        rows = [fld.h[i].tobytes() + vel.u[i].tobytes() for i in range(nx)]
+        rows = [fld.h[i].tobytes() + fld.q[i].tobytes() for i in range(nx)]
         kept = [i for i in range(nx) if (i == 0 or rows[i] != rows[i - 1]) and i != top
                 and not upper[i] < (1.0 - 1e-12) * r]
         assert [len(A) for A in passed] == [1] + ([len(kept)] if kept else [])
