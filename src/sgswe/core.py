@@ -169,12 +169,18 @@ def _normalize_columns(L: np.ndarray) -> np.ndarray:
     return L * signs[..., None, :]
 
 
-def _symmetrizer_matrix(
+def symmetrizer_eig(
     basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The symmetric matrix D of symmetrizer_eig at (h_bar, u_bar), with the
-    P(u_bar) and G = sqrt(g P(h_bar)) it was assembled from, as
-    (D, P(u_bar), G).  D has the flux Jacobian's eigenvalues."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the flux Jacobian at the intermediate state
+    (h_bar, P(h_bar) u_bar), returned as (T, Lambda) with J = T Lambda T^{-1}.
+
+    Built from the symmetrizer: G = sqrt(g P(h)), the symmetric matrix D
+    assembled from G, P(u) and g G^{-1} P(q) G^{-1} is diagonalized as
+    D = L Lambda L^T, and T = R L with R the scaled eigenvector matrix
+    (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
+    positive semi-definite Roe-type diffusion operator.
+    """
     Ph, pi, Q = _p_eig(basis, h_bar)
     Qt = np.swapaxes(Q, -1, -2)
     sq = np.sqrt(g * pi)
@@ -193,23 +199,6 @@ def _symmetrizer_matrix(
     D[..., :K, K:] = 0.5 * (Pu - C)
     D[..., K:, :K] = 0.5 * (Pu - C)
     D[..., K:, K:] = 0.5 * (Pu + C - 2.0 * G)
-    return D, Pu, G
-
-
-def symmetrizer_eig(
-    basis: PceBasis, h_bar: np.ndarray, u_bar: np.ndarray, g: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the flux Jacobian at the intermediate state
-    (h_bar, P(h_bar) u_bar), returned as (T, Lambda) with J = T Lambda T^{-1}.
-
-    Built from the symmetrizer: G = sqrt(g P(h)), the symmetric matrix D
-    assembled from G, P(u) and g G^{-1} P(q) G^{-1} is diagonalized as
-    D = L Lambda L^T, and T = R L with R the scaled eigenvector matrix
-    (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
-    positive semi-definite Roe-type diffusion operator.
-    """
-    D, Pu, G = _symmetrizer_matrix(basis, h_bar, u_bar, g)
-    K = basis.K
     lam, L = sym_eig(D)
     L = _normalize_columns(L)
 

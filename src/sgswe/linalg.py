@@ -4,8 +4,8 @@ All inputs are symmetrized as (A + A^T)/2 before factorization so that
 accumulated rounding in assembled P(.) products cannot trip the solver.
 Every function accepts stacked operands with shape (..., n, n).
 
-sym_eig factorizes every matrix it is passed: core.velocity, timestep.cfl_dt
-and schemes.semidiscrete_rhs drop the repeated cells before they build one.
+sym_eig factorizes every matrix it is passed.  Only core calls it (_p_eig,
+symmetrizer_eig), and core's callers drop their repeated cells first.
 
 The batch is split into contiguous chunks, one per CPU of the process's
 affinity mask: the calling thread solves the first chunk and a thread pool

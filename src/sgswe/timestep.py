@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import PceBasis
-from .core import Field, Velocity, _symmetrizer_matrix, velocity
+from .core import Field, Velocity, symmetrizer_eig, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, SolverError
-from .linalg import _mv, sym_eig
+from .linalg import _mv
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
 __all__ = [
@@ -80,14 +80,13 @@ def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float
     absorbs the bound's rounding, so every cell holding the maximum stays,
     as does every cell whose bound is not finite.  The others left, one per
     run of velocity's solve (vel.runs; its (h, u) rows are copies), go to a
-    second sym_eig call if any.  A cell's D and its eigenvalues do not depend
+    second symmetrizer_eig call if any.  A cell's eigenvalues do not depend
     on the rest of the batch, so dt is bitwise the dt of solving every cell.
     """
     vel, field = solved
 
     def radius(cells) -> float:
-        lam, _ = sym_eig(_symmetrizer_matrix(basis, field.h[cells], vel.u[cells], g)[0])
-        return np.max(np.abs(lam))
+        return np.max(np.abs(symmetrizer_eig(basis, field.h[cells], vel.u[cells], g)[1]))
 
     upper = _speed_bound(basis, vel, g)
     top = np.argmax(upper)

@@ -34,6 +34,15 @@ def test_readme_public_api_matches_all():
     assert sorted(listed) == sorted(n for n in sgswe.__all__ if n != "__version__")
 
 
+def test_only_core_binds_the_eigensolver():
+    # every eigensolve goes through core (_p_eig or symmetrizer_eig), so a
+    # second path into the flux-Jacobian eigenproblem shows up here
+    binding = [name for name in MODULES
+               if any(value is sgswe.linalg.sym_eig
+                      for value in vars(importlib.import_module(name)).values())]
+    assert binding == ["sgswe.core", "sgswe.linalg"]
+
+
 # module -> the functions whose spans or counters the tracer reports
 TRACED = {
     "basis": ["build_basis", "p_operator"],

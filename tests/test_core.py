@@ -262,15 +262,24 @@ def test_symmetrizer_diffusion_operator_psd(basis4):
     assert np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))) >= -1e-12
 
 
-def test_symmetrizer_batched_matches_single(basis4):
+def test_symmetrizer_batched_matches_single(monkeypatch, pool):
+    # cfl_dt's dt is bitwise that of solving every cell only if a cell's
+    # eigenpairs do not depend on the batch: not on its size, on the (1, K)
+    # rows that cfl_dt passes, or on the pool's chunks
+    monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
     rng = np.random.default_rng(5)
-    h, q = random_state_batch(rng, 6, 4)
-    u = exact_u(basis4, h, q)
-    T, lam = symmetrizer_eig(basis4, h, u, 1.0)
-    for i in range(6):
-        Ti, lami = symmetrizer_eig(basis4, h[i], u[i], 1.0)
-        assert np.max(np.abs(T[i] - Ti)) <= 1e-12
-        assert np.max(np.abs(lam[i] - lami)) <= 1e-12
+    for K in (1, 4, 5, 9):
+        basis = build_basis(K)
+        h, q = random_state_batch(rng, 120, K)
+        u = exact_u(basis, h, q)
+        for n in (6, 120):
+            T, lam = symmetrizer_eig(basis, h[:n], u[:n], 1.0)
+            for i in range(n):
+                for rows in (i, [i]):
+                    Ti, lami = symmetrizer_eig(basis, h[rows], u[rows], 1.0)
+                    assert T[rows].tobytes() == Ti.tobytes()
+                    assert lam[rows].tobytes() == lami.tobytes()
+    assert pool.sizes
 
 
 def test_pad_ghosts_outflow():
