@@ -31,13 +31,13 @@ __all__ = [
 @dataclass(frozen=True)
 class Velocity:
     """Velocity coefficients u, per-cell flags telling where the regularized
-    inverse deviated from the exact one, the P(h) that the solve inverted,
-    the positive node heights h(xi_m) and the starts of the runs of
-    byte-equal (h, q) rows it solved once each."""
+    inverse deviated from the exact one, q~ = P(h) u (the solved q where
+    desingularized), the positive node heights h(xi_m) and the starts of
+    the runs of byte-equal (h, q) rows it solved once each."""
 
     u: np.ndarray = dc_field(repr=False)
     desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
-    Ph: np.ndarray = dc_field(repr=False)
+    Phu: np.ndarray = dc_field(repr=False)  # shape (nx, K)
     node_h: np.ndarray = dc_field(repr=False)  # shape (nx, 2K)
     runs: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
 
@@ -149,11 +149,9 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
     )
     activated = np.any(small, axis=-1)
     u = _mv(Q, _mtv(Q, field.q[new]) / pi_reg)
-    if np.any(activated):
-        q_new = np.where(activated[..., None], _mv(Ph, u), field.q[new])[owner]
-    else:
-        q_new = field.q
-    return Velocity(u[owner], activated[owner], Ph[owner], node_h, new), replace(field, q=q_new)
+    Phu = _mv(Ph, u)
+    q_new = np.where(activated[..., None], Phu, field.q[new])[owner]
+    return Velocity(u[owner], activated[owner], Phu[owner], node_h, new), replace(field, q=q_new)
 
 
 def _normalize_columns(L: np.ndarray) -> np.ndarray:
@@ -179,7 +177,8 @@ def symmetrizer_eig(
     assembled from G, P(u) and g G^{-1} P(q) G^{-1} is diagonalized as
     D = L Lambda L^T, and T = R L with R the scaled eigenvector matrix
     (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
-    positive semi-definite Roe-type diffusion operator.
+    positive semi-definite Roe-type diffusion operator.  The products leave
+    D symmetric only up to rounding, so sym_eig is passed (D + D^T)/2.
     """
     Ph, pi, Q = _p_eig(basis, h_bar)
     Qt = np.swapaxes(Q, -1, -2)
@@ -199,7 +198,7 @@ def symmetrizer_eig(
     D[..., :K, K:] = 0.5 * (Pu - C)
     D[..., K:, :K] = 0.5 * (Pu - C)
     D[..., K:, K:] = 0.5 * (Pu + C - 2.0 * G)
-    lam, L = sym_eig(D)
+    lam, L = sym_eig(0.5 * (D + np.swapaxes(D, -1, -2)))
     L = _normalize_columns(L)
 
     R = np.empty_like(D)

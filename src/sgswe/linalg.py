@@ -1,7 +1,7 @@
 """Dense symmetric eigensolver and batched products.
 
-All inputs are symmetrized as (A + A^T)/2 before factorization so that
-accumulated rounding in assembled P(.) products cannot trip the solver.
+sym_eig factorizes its input as it is: every P(a) is bitwise symmetric
+(build_basis), and symmetrizer_eig symmetrizes the D it assembles.
 Every function accepts stacked operands with shape (..., n, n).
 
 sym_eig factorizes every matrix it is passed.  Only core calls it (_p_eig,
@@ -72,11 +72,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
 
 
-def _symmetrize(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
 def _eigh_split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of an (N, n, n) stack, split across the pool."""
     chunks = min(_WIDTH, S.size // _MIN_CHUNK)
@@ -104,8 +99,8 @@ def _run_starts(rows: np.ndarray) -> np.ndarray:
 
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = vectors @ diag(values) @ vectors^T of a
-    symmetric matrix as (values, vectors), eigenvalues ascending."""
-    S = _symmetrize(A)
-    n = S.shape[-1]
-    values, vectors = _eigh_split(S.reshape(-1, n, n))
-    return values.reshape(S.shape[:-1]), vectors.reshape(S.shape)
+    symmetric matrix (eigh reads only its lower triangle) as (values,
+    vectors), eigenvalues ascending."""
+    n = A.shape[-1]
+    values, vectors = _eigh_split(A.reshape(-1, n, n))
+    return values.reshape(A.shape[:-1]), vectors.reshape(A.shape)

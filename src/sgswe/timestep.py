@@ -17,7 +17,6 @@ from .basis import PceBasis
 from .core import Field, Velocity, symmetrizer_eig, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, SolverError
-from .linalg import _mv
 from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
 
 __all__ = [
@@ -56,13 +55,14 @@ def _speed_bound(basis: PceBasis, vel: Velocity, g: float) -> np.ndarray:
     With the 2K Gauss nodes of build_basis, P(a) = A^T diag(a(xi_m)) A with
     A^T A = I, so the spectrum of P(a) lies between a's node values.  D of
     symmetrizer_eig is orthogonally similar to [[P(u), G], [G, C]] with
-    G = sqrt(g P(h)), C = P(h)^(-1/2) P(q~) P(h)^(-1/2) and q~ = P(h) u, and
-    the norms of its blocks are at most a = max|u(xi_m)|,
-    c = sqrt(g max h(xi_m)) and w = max|q~(xi_m) / h(xi_m)|.  The bound is
-    the norm of [[a, c], [c, w]].  For K = 1 it is |u| + sqrt(g h).
+    G = sqrt(g P(h)), C = P(h)^(-1/2) P(q~) P(h)^(-1/2) and q~ = vel.Phu
+    (the solved q where desingularized), and the norms of its blocks are at
+    most a = max|u(xi_m)|, c = sqrt(g max h(xi_m)) and
+    w = max|q~(xi_m) / h(xi_m)|.  The bound is the norm of [[a, c], [c, w]].
+    For K = 1 it is |u| + sqrt(g h).
     """
     table = basis.basis_table
-    node_q = _mv(vel.Ph, vel.u) @ table.T
+    node_q = vel.Phu @ table.T
     a = np.max(np.abs(vel.u @ table.T), axis=-1)
     c = np.sqrt(g * np.max(vel.node_h, axis=-1))
     w = np.max(np.abs(node_q / vel.node_h), axis=-1)

@@ -203,7 +203,7 @@ def velocity_every_cell(basis, field):
     u = _mv(Q, _mtv(Q, field.q) / pi_reg)
     q_new = np.where(activated[..., None], _mv(Ph, u), field.q) if np.any(activated) else field.q
     runs = np.ones(field.nx, dtype=bool)
-    return Velocity(u, activated, Ph, node_h, runs), replace(field, q=q_new)
+    return Velocity(u, activated, _mv(Ph, u), node_h, runs), replace(field, q=q_new)
 
 
 def rhs_every_interface(basis, solved, scheme, g):

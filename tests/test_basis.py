@@ -88,12 +88,26 @@ def test_p_operator_commutes(basis4):
         ) <= 1e-13
 
 
-def test_p_operator_batched_matches_loop(basis4):
+def test_p_operator_batched_matches_loop():
+    # bitwise: velocity copies one run's solve to all its cells
     rng = np.random.default_rng(5)
-    batch = rng.standard_normal((7, 4))
-    stacked = p_operator(basis4, batch)
-    for i in range(7):
-        assert np.max(np.abs(stacked[i] - p_operator(basis4, batch[i]))) <= 1e-14
+    for K in (1, 4, 5, 9):
+        basis = build_basis(K)
+        batch = rng.standard_normal((7, K))
+        stacked = p_operator(basis, batch)
+        for i in range(7):
+            assert stacked[i].tobytes() == p_operator(basis, batch[i]).tobytes()
+
+
+@pytest.mark.parametrize("K", range(1, 12))
+def test_p_operator_is_bitwise_symmetric(K):
+    # sym_eig factorizes P(h) as it is, reading only its lower triangle
+    basis = build_basis(K)
+    rng = np.random.default_rng(40 + K)
+    for shape in [(1,), (403,), (3, 5)]:
+        a = rng.standard_normal(shape + (K,)) * 10.0 ** rng.uniform(-8.0, 8.0, shape + (K,))
+        P = p_operator(basis, a)
+        assert P.tobytes() == np.swapaxes(P, -1, -2).copy().tobytes()
 
 
 def test_p_operator_shape_mismatch(basis4):

@@ -1,6 +1,7 @@
 """State operations: velocity, fluxes, Jacobian, symmetrizer, projection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from sgswe.core import (
     velocity,
 )
 from sgswe.errors import HyperbolicityError, PositivityError
-from sgswe.linalg import _run_starts
+from sgswe.linalg import _mv, _run_starts
+from sgswe.timestep import _speed_bound
 
 from conftest import (
     exact_u,
@@ -43,7 +45,7 @@ def test_velocity_exact_inverse(basis9):
     assert np.max(np.abs(resid)) <= 1e-12
     assert vel.desingularized.shape == (20,) and not vel.desingularized.any()
     _assert_same_grid(out, fld)
-    assert out.q is fld.q  # exact path leaves the discharge untouched
+    assert out.q.tobytes() == fld.q.tobytes()  # exact path leaves the discharge untouched
 
 
 def _k1_field(h, q, eps):
@@ -74,7 +76,7 @@ def test_velocity_threshold_inactive_above_eps():
     vel, out = velocity(basis, fld)
     assert np.all(vel.u == 0.3 / 0.5)
     assert not vel.desingularized.any()
-    assert out.q is fld.q
+    assert out.q.tobytes() == fld.q.tobytes()
     # the threshold is the grid's: the same cells on a grid with dx > h are lifted
     coarse = _k1_field([0.5, 0.5, 0.5], [0.3, 0.3, 0.3], 0.6)
     assert velocity(basis, coarse)[0].desingularized.all()
@@ -113,7 +115,7 @@ def _assert_solved_like(solved, ref):
     """velocity's result is byte for byte the per-cell oracle's."""
     (vel, out), (ref_vel, ref_out) = solved, ref
     for a, b in [(vel.u, ref_vel.u), (vel.desingularized, ref_vel.desingularized),
-                 (vel.Ph, ref_vel.Ph), (vel.node_h, ref_vel.node_h), (out.q, ref_out.q)]:
+                 (vel.Phu, ref_vel.Phu), (vel.node_h, ref_vel.node_h), (out.q, ref_out.q)]:
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -130,6 +132,12 @@ def test_velocity_solves_each_run_once(factorized, K):
     assert solved[0].runs.tolist() == _runs_of(fld)[0].tolist()
     assert sum(factorized) == 6
     assert np.flatnonzero(solved[0].desingularized).tolist() == [7, 8, 9]
+    # Phu is the q~ of the CFL bound: the solved discharge where desingularized
+    vel, out = solved
+    assert vel.Phu[7:10].tobytes() == out.q[7:10].tobytes()
+    Phu = _mv(p_operator(basis, fld.h), vel.u)
+    assert _speed_bound(basis, vel, 1.0).tobytes() == \
+        _speed_bound(basis, replace(vel, Phu=Phu), 1.0).tobytes()
 
 
 @pytest.mark.parametrize("offset", [0, 1])

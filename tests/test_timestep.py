@@ -12,6 +12,7 @@ import sgswe.core
 import sgswe.linalg
 import sgswe.timestep
 from sgswe.basis import build_basis, p_operator
+from sgswe.cli import SolverConfig, build_experiment
 from sgswe.core import Field, positivity_check, symmetrizer_eig, velocity
 from sgswe.errors import BlowUpError, DtUnderflowError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
@@ -590,6 +591,26 @@ def test_integrate_matches_the_unwindowed_oracles(monkeypatch, scheme):
     (fld, records), (ref, ref_records) = runs
     assert len(records) > 3 and records == ref_records
     assert fld.h.tobytes() == ref.h.tobytes() and fld.q.tobytes() == ref.q.tobytes()
+
+
+def test_every_eigensolve_gets_a_bitwise_symmetric_matrix(monkeypatch):
+    # sym_eig factorizes its input as it is: eigh reads the lower triangle,
+    # so an asymmetric matrix would be solved as some other matrix
+    sym_eig, asymmetric, calls = sgswe.core.sym_eig, [], []
+
+    def checked(A):
+        calls.append(A.shape)
+        if A.tobytes() != np.swapaxes(A, -1, -2).copy().tobytes():
+            asymmetric.append(A.shape)
+        return sym_eig(A)
+
+    monkeypatch.setattr(sgswe.core, "sym_eig", checked)
+    for K, scheme in [(1, "es2"), (5, "ec"), (5, "es2"), (9, "es1")]:
+        basis = build_basis(K)
+        cfg = SolverConfig(experiment="dam_break_flat", K=K, nx=60, t_final=0.05)
+        integrate(basis, build_experiment(cfg, basis), SchemeKind(scheme), 1.0, 0.45, 0.05)
+    assert {shape[-1] for shape in calls} == {1, 2, 5, 10, 9, 18}
+    assert asymmetric == []
 
 
 _FORK_BATCH = 2 * sgswe.linalg._MIN_CHUNK // 16  # two chunks of 4x4 solves

@@ -22,7 +22,8 @@ captured text depends on where OUT is, and the captures of two checkouts
 can be compared with ``diff -r``.
 
 The configs are only read; nothing is written under SRC.  The runs go one
-after the other.
+after the other.  OUT must be empty or not exist yet; otherwise the script
+writes nothing and exits with status 2.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ def main(argv: list[str]) -> int:
         print("usage: capture_outputs.py SRC OUT", file=sys.stderr)
         return 2
     src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        print(f"error: {out} exists and is not an empty directory", file=sys.stderr)
+        return 2
     configs = src / "perfbench" / "configs"
     paths = sorted(configs.glob("*.cfg")) + sorted(configs.glob("smoke/*.cfg"))
     if not paths:
