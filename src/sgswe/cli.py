@@ -395,8 +395,9 @@ def run_checks(cfg: SolverConfig) -> int:
     its right-hand side raises the solver errors of a dry or non-hyperbolic
     start."""
     basis = build_basis(cfg.K)
-    r = semidiscrete_rhs(basis, velocity(basis, build_experiment(cfg, basis)), cfg.scheme, cfg.g)
-    bad = int(np.count_nonzero(~np.isfinite(r.rhs)))
+    solved = velocity(basis, build_experiment(cfg, basis))
+    rhs, _ = semidiscrete_rhs(basis, solved, cfg.scheme, cfg.g)
+    bad = int(np.count_nonzero(~np.isfinite(rhs)))
     verdict = f"FAIL ({bad} non-finite entries)" if bad else "ok"
     print(f"check: rhs finite: {verdict}")
     return 1 if bad else 0

@@ -70,10 +70,6 @@ class Field:
         return self.h.shape[0]
 
     @property
-    def K(self) -> int:
-        return self.h.shape[1]
-
-    @property
     def x_centers(self) -> np.ndarray:
         return self.x_left + self.dx * (np.arange(self.nx) + 0.5)
 

@@ -7,13 +7,13 @@ Three two-point schemes share one skeleton:
   ES2  EC minus the same diffusion scaled per scaled-variable component by
        Pi in [0, 1], built from minmod ratios of neighboring jumps.
 
-interface_flux evaluates that skeleton on any stack of cells;
-semidiscrete_rhs runs it on the ghost-padded grid.
+interface_flux evaluates that skeleton on any stack of cells and returns
+the fluxes with the P(h_bar) the source reuses; semidiscrete_rhs runs it on
+the ghost-padded grid and returns the right-hand side with its fluxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,9 +26,7 @@ from .linalg import _mtv, _mv, _run_starts
 __all__ = [
     "SchemeKind",
     "minmod_phi",
-    "InterfaceFlux",
     "interface_flux",
-    "RhsResult",
     "semidiscrete_rhs",
 ]
 
@@ -73,18 +71,6 @@ def _es2_pi(wj_prev, wj_mid, wj_next, w_left, w_right):
     return 1.0 - 0.5 * minmod_phi(theta_minus) - 0.5 * minmod_phi(theta_plus)
 
 
-@dataclass(frozen=True)
-class InterfaceFlux:
-    """Interface quantities of a stack of n cells.
-
-    flux (..., n-1, 2K) is the total flux, diffusion included; Ph_bar
-    (..., n-1, K, K) is P(h_bar), which the well-balanced source reuses.
-    """
-
-    flux: np.ndarray
-    Ph_bar: np.ndarray
-
-
 def interface_flux(
     basis: PceBasis,
     h: np.ndarray,
@@ -92,11 +78,14 @@ def interface_flux(
     B: np.ndarray,
     scheme: SchemeKind,
     g: float,
-) -> InterfaceFlux:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fluxes at the n-1 interfaces of cells stacked along axis -2.
 
     h, u, B are height, velocity and bottom coefficients of shape
-    (..., n, K); interface j sits between cells j and j+1.  The flux is
+    (..., n, K); interface j sits between cells j and j+1.  Returns the
+    total flux, diffusion included, of shape (..., n-1, 2K) and P(h_bar),
+    which the well-balanced source reuses, of shape (..., n-1, K, K).
+    The flux is
 
       F = (P(h_bar) u_bar ; (g/2) avg(P(h) h) + P(u_bar) P(h_bar) u_bar)
           - diff / 2,   diff = T |Lambda| Pi T^T [[V]],
@@ -134,27 +123,15 @@ def interface_flux(
             )
             weight = weight * Pi
         F = F - 0.5 * _mv(T, weight * wjump)
-    return InterfaceFlux(flux=F, Ph_bar=Ph_bar)
-
-
-@dataclass(frozen=True)
-class RhsResult:
-    """Semidiscrete right-hand side with the stage state it was built from.
-
-    fluxes holds the nx+1 interior interface fluxes (total, diffusion
-    included).  field is the solved field, whose discharge carries any
-    desingularization recompute; time integrators must advance this state.
-    """
-
-    rhs: np.ndarray
-    fluxes: np.ndarray
-    field: Field
+    return F, Ph_bar
 
 
 def semidiscrete_rhs(
     basis: PceBasis, solved: tuple[Velocity, Field], scheme: SchemeKind, g: float
-) -> RhsResult:
-    """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Finite volume right-hand side dU_i/dt = -(F_+ - F_-)/dx + S_i, of
+    shape (nx, 2K), and the nx+1 interior interface fluxes (total,
+    diffusion included) it differences, of shape (nx+1, 2K).
 
     solved is velocity(basis, field): the velocity of the interior cells
     and the field it was solved from.  h, u and B get two ghost layers per
@@ -172,15 +149,17 @@ def semidiscrete_rhs(
     hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
     jumps = np.flatnonzero(_run_starts(np.concatenate([hp, up, Bp], axis=1))[1:])
     lo, hi = (max(jumps[0] - 1, 0), min(jumps[-1] + 2, nx + 3)) if jumps.size else (0, 1)
-    k = interface_flux(basis, hp[lo : hi + 1], up[lo : hi + 1], Bp[lo : hi + 1], scheme, g)
+    flux, Ph_bar = interface_flux(
+        basis, hp[lo : hi + 1], up[lo : hi + 1], Bp[lo : hi + 1], scheme, g
+    )
 
     # padded interface j sits between padded cells j and j+1; the interior
     # interfaces are j = 1 .. nx+1
     take = np.clip(np.arange(1, nx + 2), lo, hi - 1) - lo
-    fluxes = k.flux[take]
-    PhjB = _mv(k.Ph_bar, Bp[lo + 1 : hi + 1] - Bp[lo:hi])[take]
+    fluxes = flux[take]
+    PhjB = _mv(Ph_bar, Bp[lo + 1 : hi + 1] - Bp[lo:hi])[take]
     Sq = -(0.5 * g / field.dx) * (PhjB[1:] + PhjB[:-1])
     rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
     rhs[:, basis.K :] += Sq
 
-    return RhsResult(rhs=rhs, fluxes=fluxes, field=field)
+    return rhs, fluxes

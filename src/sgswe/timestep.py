@@ -17,7 +17,7 @@ from .basis import PceBasis
 from .core import Field, Velocity, symmetrizer_eig, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, SolverError
-from .schemes import RhsResult, SchemeKind, semidiscrete_rhs
+from .schemes import SchemeKind, semidiscrete_rhs
 
 __all__ = [
     "positivity_lambda",
@@ -129,17 +129,20 @@ class StepRecord:
     min_node_height: float
 
 
-def _shu_osher_stage(r0: RhsResult, r: RhsResult, dt: float, k: int) -> Field:
+def _shu_osher_stage(start: Field, field: Field, rhs: np.ndarray, dt: float, k: int) -> Field:
     """State after stage k = 0, 1, 2 of Shu-Osher SSP-RK3: an Euler step of
-    size dt from r's state, blended with the step's start state r0.field."""
-    K = r.rhs.shape[1] // 2
-    h = r.field.h + dt * r.rhs[:, :K]
-    q = r.field.q + dt * r.rhs[:, K:]
+    size dt along rhs from field, blended with start, the step's start state.
+    start and field are fields velocity returned, whose discharge carries any
+    desingularization recompute; rhs was built from field, so time
+    integrators must advance it, not the state velocity was given."""
+    K = rhs.shape[1] // 2
+    h = field.h + dt * rhs[:, :K]
+    q = field.q + dt * rhs[:, K:]
     if k == 1:
-        h, q = 0.75 * r0.field.h + 0.25 * h, 0.75 * r0.field.q + 0.25 * q
+        h, q = 0.75 * start.h + 0.25 * h, 0.75 * start.q + 0.25 * q
     elif k == 2:
-        h, q = r0.field.h / 3.0 + (2.0 / 3.0) * h, r0.field.q / 3.0 + (2.0 / 3.0) * q
-    return replace(r.field, h=h, q=q)
+        h, q = start.h / 3.0 + (2.0 / 3.0) * h, start.q / 3.0 + (2.0 / 3.0) * q
+    return replace(field, h=h, q=q)
 
 
 def ssp_rk3_step(
@@ -162,8 +165,8 @@ def ssp_rk3_step(
     """
     field = solved[1]
     _check_finite(field.h, field.q, t)
-    r0 = semidiscrete_rhs(basis, solved, scheme, g)
-    lam0 = positivity_lambda(basis, solved[0].node_h, r0.fluxes, field.dx)
+    rhs0, fluxes = semidiscrete_rhs(basis, solved, scheme, g)
+    lam0 = positivity_lambda(basis, solved[0].node_h, fluxes, field.dx)
     dt = min(cfl_dt(basis, solved, g, cfl), 0.9 * lam0, t_target - t)
     floor = _DT_FLOOR_FRAC * t_final
     restarts = 0
@@ -173,15 +176,15 @@ def ssp_rk3_step(
             raise DtUnderflowError(
                 f"dt {dt:.3e} fell below {floor:.3e}", t=t, dt=dt
             )
-        r = r0
+        stage, rhs = field, rhs0
         for k in range(3):
-            stage = _shu_osher_stage(r0, r, dt, k)
+            stage = _shu_osher_stage(field, stage, rhs, dt, k)
             _check_finite(stage.h, stage.q, t)
             if k == 2:
                 return StepResult(field=stage, t=t + dt, dt=dt, lam=lam0, restarts=restarts)
-            solved = velocity(basis, stage)
-            r = semidiscrete_rhs(basis, solved, scheme, g)
-            lam = positivity_lambda(basis, solved[0].node_h, r.fluxes, field.dx)
+            vel, stage = solved = velocity(basis, stage)
+            rhs, fluxes = semidiscrete_rhs(basis, solved, scheme, g)
+            lam = positivity_lambda(basis, vel.node_h, fluxes, field.dx)
             if 0.9 * lam < dt:
                 dt = 0.9 * lam
                 restarts += 1

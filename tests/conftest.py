@@ -10,7 +10,7 @@ from sgswe.basis import build_basis, eval_basis, mean_variance, p_operator
 from sgswe.core import Velocity, _p_eig, pad_ghosts, positivity_check, symmetrizer_eig
 from sgswe.entropy import energy
 from sgswe.linalg import _mtv, sym_eig
-from sgswe.schemes import RhsResult, interface_flux
+from sgswe.schemes import interface_flux
 
 
 @pytest.fixture(scope="session")
@@ -212,27 +212,27 @@ def rhs_every_interface(basis, solved, scheme, g):
     vel, field = solved
     nx = field.nx
     hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
-    k = interface_flux(basis, hp, up, Bp, scheme, g)
-    fluxes = k.flux[1 : nx + 2]
-    PhjB = _mv(k.Ph_bar, Bp[1:] - Bp[:-1])
+    flux, Ph_bar = interface_flux(basis, hp, up, Bp, scheme, g)
+    fluxes = flux[1 : nx + 2]
+    PhjB = _mv(Ph_bar, Bp[1:] - Bp[:-1])
     Sq = -(0.5 * g / field.dx) * (PhjB[2 : nx + 2] + PhjB[1 : nx + 1])
     rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
     rhs[:, basis.K :] += Sq
-    return RhsResult(rhs=rhs, fluxes=fluxes, field=field)
+    return rhs, fluxes
 
 
-def grid_energy_pair(basis, solved, r, g):
+def grid_energy_pair(basis, solved, fluxes, g):
     """Entropy variables V of the cells 1 .. nx+2 of the ghost-padded grid
     (interior cells are V[1:-1]) and the energy flux at the nx+1 interior
-    interfaces, for solved = velocity(basis, field) and
-    r = semidiscrete_rhs(basis, solved, scheme, g)."""
+    interfaces, for solved = velocity(basis, field) and the fluxes of
+    semidiscrete_rhs(basis, solved, scheme, g)."""
     vel, field = solved
     hp, up, Bp = (
         pad_ghosts(a, field.ghost_policy)[1 : field.nx + 3]
         for a in (field.h, vel.u, field.bottom)
     )
     V = entropy_vars_at(basis, hp, up, Bp, g)
-    return V, interface_energy_flux(basis, hp, up, Bp, r.fluxes, g)
+    return V, interface_energy_flux(basis, hp, up, Bp, fluxes, g)
 
 
 def state_energy(basis, h, q, bottom, g):

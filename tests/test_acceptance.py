@@ -88,14 +88,14 @@ def dam_break_es(basis9):
 
         def on_snapshot(t, fld, scheme=scheme, worst=worst):
             solved = velocity(basis9, fld)
-            r = semidiscrete_rhs(basis9, solved, scheme, GRAV)
-            V, H = grid_energy_pair(basis9, solved, r, GRAV)
-            rate = np.einsum("ik,ik->i", V[1:-1], r.rhs)
+            rhs, fluxes = semidiscrete_rhs(basis9, solved, scheme, GRAV)
+            V, H = grid_energy_pair(basis9, solved, fluxes, GRAV)
+            rate = np.einsum("ik,ik->i", V[1:-1], rhs)
             div = np.diff(H) / fld.dx
             # local energy scale: cell energy transported at the local wave
             # speed, so still-water cells keep an O(1) denominator instead of
             # dividing roundoff dust by roundoff dust
-            e_cell = energy(r.field.h, r.field.q, fld.bottom, GRAV, solved[0].u)
+            e_cell = energy(solved[1].h, solved[1].q, fld.bottom, GRAV, solved[0].u)
             c_cell = np.sqrt(GRAV * (fld.h @ basis9.basis_table.T).max(axis=1))
             scale = (
                 np.abs(rate)
@@ -223,7 +223,7 @@ def test_criterion_03_ec_condition(basis9):
     BR = 0.1 * rng.standard_normal((n, 9))
     uL, uR = exact_u(basis9, hL, qL), exact_u(basis9, hR, qR)
     pairs = [np.stack(sides, axis=1) for sides in ((hL, hR), (uL, uR), (BL, BR))]
-    flux = interface_flux(basis9, *pairs, SchemeKind.EC, GRAV).flux[:, 0]
+    flux = interface_flux(basis9, *pairs, SchemeKind.EC, GRAV)[0][:, 0]
     jV = entropy_variables(basis9, hR, qR, BR, GRAV) - entropy_variables(basis9, hL, qL, BL, GRAV)
     jPsi = energy_potential(basis9, hR, qR, GRAV) - energy_potential(basis9, hL, qL, GRAV)
     Ph_bar = p_operator(basis9, 0.5 * (hL + hR))

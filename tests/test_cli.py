@@ -653,9 +653,9 @@ def test_check_mode_counts_non_finite_entries(monkeypatch, capsys):
     real_rhs = sgswe.cli.semidiscrete_rhs
 
     def nan_rhs(*args, **kwargs):
-        r = real_rhs(*args, **kwargs)
-        r.rhs[:3, 0] = np.nan
-        return r
+        rhs, fluxes = real_rhs(*args, **kwargs)
+        rhs[:3, 0] = np.nan
+        return rhs, fluxes
 
     monkeypatch.setattr(sgswe.cli, "semidiscrete_rhs", nan_rhs)
     cfg = SolverConfig(experiment="dam_break_flat", K=3, nx=16)

@@ -70,7 +70,7 @@ def test_flux_consistency_all_schemes(basis9):
     B = 0.1 * rng.standard_normal(9)
     exact = physical_flux(basis9, *st, g)
     for scheme in SchemeKind:
-        f = _stack(basis9, (st,) * 4, (B,) * 4, scheme, g).flux
+        f = _stack(basis9, (st,) * 4, (B,) * 4, scheme, g)[0]
         assert np.max(np.abs(f - exact)) <= 1e-12
 
 
@@ -78,7 +78,7 @@ def _ec_residual(basis, L, R, bL, bR, g):
     """[[V]].F - [[Psi]] - g [[B]].P(h_bar) u_bar of the ec flux between the
     (h, q) states L and R over the bottoms bL and bR; zero for an
     energy-conservative flux."""
-    F = _stack(basis, (L, R), (bL, bR), SchemeKind.EC, g).flux[0]
+    F = _stack(basis, (L, R), (bL, bR), SchemeKind.EC, g)[0][0]
     uL, uR = exact_u(basis, *L), exact_u(basis, *R)
     jV = entropy_variables(basis, *R, bR, g) - entropy_variables(basis, *L, bL, g)
     jPsi = float(energy_potential(basis, *R, g) - energy_potential(basis, *L, g))
@@ -139,9 +139,9 @@ def test_roe_equivalence_property(K, kinds, seed):
     assert diffusion <= 1e-9 and rescaling <= 1e-10
 
 
-def _source(r, dx):
+def _source(rhs, fluxes, dx):
     """Source term of each cell: the RHS with the flux divergence removed."""
-    return r.rhs + (r.fluxes[1:] - r.fluxes[:-1]) / dx
+    return rhs + (fluxes[1:] - fluxes[:-1]) / dx
 
 
 def test_ec_source_flat_bottom_vanishes(basis4):
@@ -151,7 +151,7 @@ def test_ec_source_flat_bottom_vanishes(basis4):
     fld = Field(h=h, q=np.zeros((3, 4)), bottom=b, dx=0.1, x_left=0.0)
     for scheme in SchemeKind:
         r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
-        assert np.max(np.abs(_source(r, fld.dx))) == 0.0
+        assert np.max(np.abs(_source(*r, fld.dx))) == 0.0
 
 
 def test_ec_source_matches_direct_formula(basis4):
@@ -160,7 +160,7 @@ def test_ec_source_matches_direct_formula(basis4):
     h = random_state_batch(rng, 3, 4)[0]
     b = 0.2 * rng.standard_normal((3, 4))
     fld = Field(h=h, q=np.zeros((3, 4)), bottom=b, dx=dx, x_left=0.0)
-    S = _source(semidiscrete_rhs(basis4, velocity(basis4, fld), SchemeKind.EC, g), dx)[1]
+    S = _source(*semidiscrete_rhs(basis4, velocity(basis4, fld), SchemeKind.EC, g), dx)[1]
     expect = -(0.5 * g / dx) * (
         p_operator(basis4, 0.5 * (h[1] + h[2])) @ (b[2] - b[1])
         + p_operator(basis4, 0.5 * (h[0] + h[1])) @ (b[1] - b[0])
@@ -182,8 +182,8 @@ def test_lake_at_rest_preserved(basis4, scheme, policy):
     h[:, 0] += 2.0
     fld = Field(h=h, q=np.zeros((nx, K)), bottom=B, dx=1.0 / nx, x_left=0.0,
                 ghost_policy=policy)
-    r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
-    assert np.max(np.abs(r.rhs)) <= 1e-12
+    rhs, _ = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
+    assert np.max(np.abs(rhs)) <= 1e-12
 
 
 def _dyadic_lake(rng, n, K):
@@ -228,8 +228,8 @@ def test_zero_jump_interfaces_carry_the_ec_flux_bytes(scheme, K):
     # the same cells mirrored, as a second row of a (2, 17, K) stack
     mirrored = tuple(np.stack([a, a[::-1]]) for a in (h, u, B)), np.stack([zero, zero[::-1]])
     for cells, zero in (((h, u, B), zero), mirrored):
-        f = interface_flux(basis, *cells, scheme, g).flux
-        ec = interface_flux(basis, *cells, SchemeKind.EC, g).flux
+        f = interface_flux(basis, *cells, scheme, g)[0]
+        ec = interface_flux(basis, *cells, SchemeKind.EC, g)[0]
         assert f[zero].tobytes() == ec[zero].tobytes()
         assert not np.any(np.all(f[~zero] == ec[~zero], axis=-1))
 
@@ -265,10 +265,10 @@ def _window_field(name, K, policy):
 
 def _rhs_outcome(rhs, basis, solved, scheme):
     try:
-        r = rhs(basis, solved, scheme, 1.0)
+        dudt, fluxes = rhs(basis, solved, scheme, 1.0)
     except np.linalg.LinAlgError as exc:
         return ("raised", str(exc))
-    return r.rhs.shape, r.rhs.tobytes(), r.fluxes.shape, r.fluxes.tobytes()
+    return dudt.shape, dudt.tobytes(), fluxes.shape, fluxes.tobytes()
 
 
 @pytest.mark.parametrize("name", _WINDOW_STATES)
@@ -325,8 +325,8 @@ def test_lake_at_rest_preserved_on_random_bottoms(K, nx, surface, seed):
                     ghost_policy=policy)
         solved = velocity(basis, fld)
         for scheme in SchemeKind:
-            r = semidiscrete_rhs(basis, solved, scheme, 1.0)
-            assert np.max(np.abs(r.rhs)) <= 1e-12, (scheme, policy)
+            rhs, _ = semidiscrete_rhs(basis, solved, scheme, 1.0)
+            assert np.max(np.abs(rhs)) <= 1e-12, (scheme, policy)
 
 
 def test_es1_diffusion_dissipates(basis9):
@@ -338,7 +338,7 @@ def test_es1_diffusion_dissipates(basis9):
         bL, bR = 0.1 * rng.standard_normal(9), 0.1 * rng.standard_normal(9)
         jV = entropy_variables(basis9, *R, bR, g) - entropy_variables(basis9, *L, bL, g)
         f_es1, f_ec = (
-            _stack(basis9, (L, R), (bL, bR), scheme, g).flux[0]
+            _stack(basis9, (L, R), (bL, bR), scheme, g)[0][0]
             for scheme in (SchemeKind.ES1, SchemeKind.EC)
         )
         d = -2.0 * (f_es1 - f_ec)
@@ -369,7 +369,7 @@ def test_es2_flat_region_no_nan(basis4):
     rng = np.random.default_rng(7)
     st = random_hyperbolic_state(rng, 4)
     B = 0.1 * rng.standard_normal(4)
-    f = _stack(basis4, (st,) * 4, (B,) * 4, SchemeKind.ES2, 1.0).flux
+    f = _stack(basis4, (st,) * 4, (B,) * 4, SchemeKind.ES2, 1.0)[0]
     assert np.all(np.isfinite(f))
 
 
@@ -381,14 +381,14 @@ def test_per_interface_matches_batched(basis4):
     hp, up, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, solved[0].u, fld.bottom))
     nx = fld.nx
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, solved, scheme, g)
+        _, fluxes = semidiscrete_rhs(basis4, solved, scheme, g)
         for j in range(1, nx + 2):
             if scheme is SchemeKind.ES2:  # 4-cell stencil, limited middle interface
                 cells, mid = slice(j - 1, j + 3), 1
             else:
                 cells, mid = slice(j, j + 2), 0
-            k = interface_flux(basis4, hp[cells], up[cells], Bp[cells], scheme, g)
-            assert np.array_equal(k.flux[mid], r.fluxes[j - 1])
+            flux, _ = interface_flux(basis4, hp[cells], up[cells], Bp[cells], scheme, g)
+            assert np.array_equal(flux[mid], fluxes[j - 1])
 
 
 @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -398,11 +398,11 @@ def test_pair_stack_matches_separate_pairs(basis4, scheme):
     (hL, qL), (hR, qR) = random_state_batch(rng, n, 4), random_state_batch(rng, n, 4)
     BL, BR = 0.1 * rng.standard_normal((n, 4)), 0.1 * rng.standard_normal((n, 4))
     stacked = _stack(basis4, ((hL, qL), (hR, qR)), (BL, BR), scheme, g)
-    assert stacked.flux.shape == (n, 1, 8)
+    assert stacked[0].shape == (n, 1, 8)
     for i in range(n):
         one = _stack(basis4, ((hL[i], qL[i]), (hR[i], qR[i])), (BL[i], BR[i]), scheme, g)
-        for name in ("flux", "Ph_bar"):
-            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
+        for name, a, b in zip(("flux", "Ph_bar"), stacked, one):
+            assert np.array_equal(a[i], b), name
 
 
 def _assert_positivity_error(call, cell, factorized):
@@ -463,9 +463,9 @@ def test_conservation_telescopes(basis4):
     rng = np.random.default_rng(9)
     fld = _random_field(rng, 20, 4)
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
-        total = fld.dx * np.sum(r.rhs[:, :4], axis=0)
-        boundary = -(r.fluxes[-1, :4] - r.fluxes[0, :4])
+        rhs, fluxes = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
+        total = fld.dx * np.sum(rhs[:, :4], axis=0)
+        boundary = -(fluxes[-1, :4] - fluxes[0, :4])
         assert np.max(np.abs(total - boundary)) <= 1e-12
 
 
@@ -473,8 +473,8 @@ def test_conservation_periodic_both_blocks(basis4):
     rng = np.random.default_rng(10)
     fld = _random_field(rng, 20, 4, policy="periodic", bottom_scale=0.0)
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
-        assert np.max(np.abs(np.sum(r.rhs, axis=0))) <= 1e-11
+        rhs, _ = semidiscrete_rhs(basis4, velocity(basis4, fld), scheme, 1.0)
+        assert np.max(np.abs(np.sum(rhs, axis=0))) <= 1e-11
 
 
 def test_numerical_energy_flux_consistency(basis9):
@@ -483,7 +483,7 @@ def test_numerical_energy_flux_consistency(basis9):
     st = random_hyperbolic_state(rng, 9)
     B = 0.1 * rng.standard_normal(9)
     h, u, Bs = _cells(basis9, (st, st), (B, B))
-    F = interface_flux(basis9, h, u, Bs, SchemeKind.EC, g).flux
+    F, _ = interface_flux(basis9, h, u, Bs, SchemeKind.EC, g)
     H = interface_energy_flux(basis9, h, u, Bs, F, g)
     assert float(H[0]) == pytest.approx(float(energy_flux(basis9, *st, B, g)), rel=1e-12)
 
@@ -493,17 +493,17 @@ def test_cellwise_energy_balance(basis4):
     fld = _random_field(rng, 16, 4)
     g = 1.0
     solved = velocity(basis4, fld)
-    f_ec = semidiscrete_rhs(basis4, solved, SchemeKind.EC, g).fluxes
+    _, f_ec = semidiscrete_rhs(basis4, solved, SchemeKind.EC, g)
     for scheme in SchemeKind:
-        r = semidiscrete_rhs(basis4, solved, scheme, g)
-        V, H = grid_energy_pair(basis4, solved, r, g)
-        rate = np.sum(V[1:-1] * r.rhs, axis=-1)
+        rhs, fluxes = semidiscrete_rhs(basis4, solved, scheme, g)
+        V, H = grid_energy_pair(basis4, solved, fluxes, g)
+        rate = np.sum(V[1:-1] * rhs, axis=-1)
         div = (H[1:] - H[:-1]) / fld.dx
         if scheme is SchemeKind.EC:
             assert np.max(np.abs(rate + div)) <= 1e-10
         else:
             # F = F_ec - diff / 2, so [[V]] . diff = 2 [[V]] . (F_ec - F)
-            vjump_dot_diff = 2.0 * np.sum(np.diff(V, axis=0) * (f_ec - r.fluxes), axis=-1)
+            vjump_dot_diff = 2.0 * np.sum(np.diff(V, axis=0) * (f_ec - fluxes), axis=-1)
             expected = -(vjump_dot_diff[1:] + vjump_dot_diff[:-1]) / (4.0 * fld.dx)
             assert np.max(np.abs(rate + div - expected)) <= 1e-10
             assert np.max(rate + div) <= 1e-10  # dissipative
@@ -534,7 +534,7 @@ def test_es2_equals_ec_where_entropy_variables_are_linear(K):
         h = (V1 + 0.5 * np.einsum("nij,nj->ni", p_operator(basis, u), u)) / g
         positivity_check(basis, h)
         f_ec, f_es2 = (
-            interface_flux(basis, h, u, np.zeros_like(h), scheme, g).flux[1:-1]
+            interface_flux(basis, h, u, np.zeros_like(h), scheme, g)[0][1:-1]
             for scheme in (SchemeKind.EC, SchemeKind.ES2)
         )
         worst = max(worst, np.max(np.abs(f_es2 - f_ec)) / np.max(np.abs(f_ec)))

@@ -158,6 +158,45 @@ def test_step_clamps_to_target():
     assert step.t == pytest.approx(target, abs=1e-18)
 
 
+def _shu_osher_by_hand(basis, fld, scheme, g, dt):
+    """One SSP-RK3 step of size dt written out stage by stage: each Euler
+    step starts from the field velocity returns.  Also returns, per inner
+    stage, whether velocity changed the discharge it was given."""
+    K = basis.K
+    solved = velocity(basis, fld)
+    start = field = solved[1]
+    changed = []
+    for k in range(3):
+        rhs, _ = semidiscrete_rhs(basis, solved, scheme, g)
+        h = field.h + dt * rhs[:, :K]
+        q = field.q + dt * rhs[:, K:]
+        if k == 1:
+            h, q = 0.75 * start.h + 0.25 * h, 0.75 * start.q + 0.25 * q
+        elif k == 2:
+            return start.h / 3.0 + (2.0 / 3.0) * h, start.q / 3.0 + (2.0 / 3.0) * q, changed
+        solved = velocity(basis, replace(field, h=h, q=q))
+        field = solved[1]
+        changed.append(field.q.tobytes() != q.tobytes())
+
+
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_step_advances_the_desingularized_stage_fields(scheme):
+    # velocity recomputes q <- P(h) u where it desingularizes, and each
+    # stage's rhs is built from that field, so the step must advance it and
+    # not the stage state velocity was given.  A restart starts over from
+    # the same state, so the hand-written step takes the accepted dt.
+    basis, nx = build_basis(3), 16
+    rng = np.random.default_rng(5)
+    h = _near_eps_heights(rng, nx, basis, (1.0 / nx) * 10.0 ** rng.uniform(-1.5, 1.0, nx))
+    q = rng.standard_normal((nx, 3)) * h[:, :1]
+    fld = Field(h=h, q=q, bottom=np.zeros((nx, 3)), dx=1.0 / nx, x_left=0.0)
+    step = ssp_rk3_step(basis, velocity(basis, fld), scheme, 1.0, 0.45, 0.0, 1.0, 1.0)
+    h, q, changed = _shu_osher_by_hand(basis, fld, scheme, 1.0, step.dt)
+    assert changed == [True, True]
+    assert step.field.h.tobytes() == h.tobytes()
+    assert step.field.q.tobytes() == q.tobytes()
+
+
 def test_dt_underflow_raises():
     basis = build_basis(2)
     fld = _sine_field(basis, 16)
@@ -290,9 +329,9 @@ def test_near_dry_run_restarts_and_stays_positive(monkeypatch):
     fld = Field(h=h, q=np.zeros((nx, K)), bottom=np.zeros((nx, K)), dx=dx, x_left=0.0)
     bounds, rhs, lam = [], sgswe.timestep.semidiscrete_rhs, sgswe.timestep.positivity_lambda
 
-    def rhs_seen(*args):
-        bounds.append([rhs(*args)])
-        return bounds[-1][0]
+    def rhs_seen(basis, solved, *args):
+        bounds.append([solved, rhs(basis, solved, *args)])
+        return bounds[-1][1]
 
     def lam_seen(basis, node_h, fluxes, dx):
         bounds[-1] += [node_h, fluxes]
@@ -303,9 +342,9 @@ def test_near_dry_run_restarts_and_stays_positive(monkeypatch):
     final, records = integrate(basis, fld, SchemeKind.ES2, 1.0, 0.45, 0.02)
     assert all(r.min_node_height > 0.0 for r in records)
     assert records[-1].restarts > 0
-    for r, node_h, fluxes in bounds:
-        assert fluxes is r.fluxes
-        assert node_h.tobytes() == (r.field.h @ basis.basis_table.T).tobytes()
+    for (_, field), (_, rhs_fluxes), node_h, fluxes in bounds:
+        assert fluxes is rhs_fluxes
+        assert node_h.tobytes() == (field.h @ basis.basis_table.T).tobytes()
 
 
 @pytest.mark.parametrize("scheme, k_per_step, k2_per_step", [("ec", 5, 2), ("es2", 8, 5)])
@@ -466,6 +505,37 @@ def test_speed_bounds_enclose_the_spectral_radius(K, regime, g, seed):
     if K == 1:
         exact = np.abs(vel.u[:, 0]) + np.sqrt(g * h[:, 0])
         np.testing.assert_allclose(upper, exact, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.sampled_from([1, 2, 3, 5]),
+    nx=st.integers(3, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_euler_step_below_the_positivity_bound_keeps_a_tenth(K, nx, seed):
+    # the height block of the rhs is -(F+ - F-)/dx, so an Euler step of
+    # 0.9 lambda removes at most 0.9 of each node height.  Node heights go
+    # down to 1e-8 of their cell's largest; evaluating h at such a node
+    # cancels terms of the cell's size, so the bound also allows for the
+    # rounding of the two evaluations, 2K eps |h| |phi(xi_m)|
+    basis = build_basis(K)
+    table = basis.basis_table
+    rng = np.random.default_rng(seed)
+    h = _near_eps_heights(rng, nx, basis, 10.0 ** rng.uniform(-8.0, 0.0, nx))
+    h *= 10.0 ** rng.uniform(-2.0, 1.0)
+    q = rng.uniform(0.0, 3.0) * rng.standard_normal((nx, K)) * h[:, :1]
+    B = rng.uniform(0.0, 0.5) * rng.standard_normal((nx, K))
+    for policy in ("outflow", "periodic"):
+        fld = Field(h=h, q=q, bottom=B, dx=1.0 / nx, x_left=0.0, ghost_policy=policy)
+        vel, field = solved = velocity(basis, fld)
+        rounding = 2 * K * np.finfo(float).eps * (np.abs(field.h) @ np.abs(table.T))
+        for scheme in SchemeKind:
+            rhs, fluxes = semidiscrete_rhs(basis, solved, scheme, 1.0)
+            lam = positivity_lambda(basis, vel.node_h, fluxes, field.dx)
+            dt = 0.9 * lam if np.isfinite(lam) else 1.0
+            node_h = (field.h + dt * rhs[:, :K]) @ table.T
+            assert np.all(node_h >= (0.1 - 1e-12) * vel.node_h - rounding), (scheme, policy)
 
 
 def test_cfl_dt_solves_only_the_cells_that_can_set_dt(monkeypatch):
