@@ -33,7 +33,7 @@ class Velocity:
     """Velocity coefficients u, per-cell flags telling where the regularized
     inverse deviated from the exact one, q~ = P(h) u (the solved q where
     desingularized), the positive node heights h(xi_m) and the starts of
-    the runs of byte-equal (h, q) rows it solved once each."""
+    the runs of byte-equal (h, q, B) rows it solved once each."""
 
     u: np.ndarray = dc_field(repr=False)
     desingularized: np.ndarray = dc_field(repr=False)  # bool, shape (nx,)
@@ -130,13 +130,13 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
     P(h), a height, with a length, so it is not dimensionally consistent.
     It is documented rather than changed: any other value changes the
     outputs of every run that desingularizes, such as the hump configs
-    under perfbench/configs/smoke/.  Each run of byte-equal (h, q) rows is
-    solved once and copied; a cell's solve does not depend on the batch, so
-    the copies are bitwise exact.
+    under perfbench/configs/smoke/.  Each run of byte-equal (h, q, B) rows
+    is solved once and copied, bitwise, as a solve ignores the batch; B
+    makes the runs the copy map that semidiscrete_rhs and cfl_dt read.
     """
     node_h = positivity_check(basis, field.h)
     eps = field.dx
-    new = _run_starts(np.concatenate([field.h, field.q], axis=1))
+    new = _run_starts(np.concatenate([field.h, field.q, field.bottom], axis=1))
     owner = np.cumsum(new) - 1
     Ph, pi, Q = _p_eig(basis, field.h[new], np.flatnonzero(new))
     small = pi < eps

@@ -4,8 +4,8 @@ sym_eig factorizes its input as it is: every P(a) is bitwise symmetric
 (build_basis), and symmetrizer_eig symmetrizes the D it assembles.
 Every function accepts stacked operands with shape (..., n, n).
 
-sym_eig factorizes every matrix it is passed.  Only core calls it (_p_eig,
-symmetrizer_eig), and core's callers drop their repeated cells first.
+sym_eig factorizes every matrix it is passed.  Only core calls it, and the
+step drops repeated cells first, by the _run_starts runs velocity finds.
 
 The batch is split into contiguous chunks, one per CPU of the process's
 affinity mask: the calling thread solves the first chunk and a thread pool

@@ -21,7 +21,7 @@ import numpy as np
 from .basis import PceBasis, p_operator
 from .core import Field, Velocity, pad_ghosts, symmetrizer_eig
 from .entropy import _entropy_vars
-from .linalg import _mtv, _mv, _run_starts
+from .linalg import _mtv, _mv
 
 __all__ = [
     "SchemeKind",
@@ -134,30 +134,29 @@ def semidiscrete_rhs(
     diffusion included) it differences, of shape (nx+1, 2K).
 
     solved is velocity(basis, field): the velocity of the interior cells
-    and the field it was solved from.  h, u and B get two ghost layers per
-    side following field.ghost_policy.  The well-balanced source has a zero
-    height block and S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-)
-    over the right (+) and left (-) interfaces of the cell.
+    and the field it was solved from.  The cell indices get two ghost
+    layers per side following field.ghost_policy.  The well-balanced source
+    has a zero height block and S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ +
+    P(h_bar-) [[B]]-) over the right (+) and left (-) interfaces of the cell.
 
     interface_flux runs on the padded cells from one before the first
-    (h, u, B) byte jump to two after the last; an interface outside lies
-    between equal cells, so [[V]] = 0 there and it copies the window's
-    edge.
+    interface between two of velocity's runs (vel.runs) to two after the
+    last.  (h, u, B) are copies within a run, so an interface outside lies
+    between equal cells, [[V]] = 0 there and it copies the window's edge.
     """
     vel, field = solved
     nx = field.nx
-    hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
-    jumps = np.flatnonzero(_run_starts(np.concatenate([hp, up, Bp], axis=1))[1:])
+    cells = pad_ghosts(np.arange(nx), field.ghost_policy)
+    jumps = np.flatnonzero(np.diff(np.cumsum(vel.runs)[cells]))
     lo, hi = (max(jumps[0] - 1, 0), min(jumps[-1] + 2, nx + 3)) if jumps.size else (0, 1)
-    flux, Ph_bar = interface_flux(
-        basis, hp[lo : hi + 1], up[lo : hi + 1], Bp[lo : hi + 1], scheme, g
-    )
+    h, u, B = (a[cells[lo : hi + 1]] for a in (field.h, vel.u, field.bottom))
+    flux, Ph_bar = interface_flux(basis, h, u, B, scheme, g)
 
     # padded interface j sits between padded cells j and j+1; the interior
     # interfaces are j = 1 .. nx+1
     take = np.clip(np.arange(1, nx + 2), lo, hi - 1) - lo
     fluxes = flux[take]
-    PhjB = _mv(Ph_bar, Bp[lo + 1 : hi + 1] - Bp[lo:hi])[take]
+    PhjB = _mv(Ph_bar, B[1:] - B[:-1])[take]
     Sq = -(0.5 * g / field.dx) * (PhjB[1:] + PhjB[:-1])
     rhs = -(fluxes[1:] - fluxes[:-1]) / field.dx
     rhs[:, basis.K :] += Sq

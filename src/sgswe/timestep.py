@@ -79,8 +79,8 @@ def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float
     a cell whose bound is below (1 - 1e-12) r cannot set dt.  The slack
     absorbs the bound's rounding, so every cell holding the maximum stays,
     as does every cell whose bound is not finite.  The others left, one per
-    run of velocity's solve (vel.runs; its (h, u) rows are copies), go to a
-    second symmetrizer_eig call if any.  A cell's eigenvalues do not depend
+    run of velocity's solve (vel.runs; its rows are copies), go to a second
+    symmetrizer_eig call if any.  A cell's eigenvalues do not depend
     on the rest of the batch, so dt is bitwise the dt of solving every cell.
     """
     vel, field = solved
@@ -205,14 +205,16 @@ def integrate(
     """March to t_final, clamping steps onto snapshot times.
 
     on_snapshot(t, field) fires exactly at each requested time (including 0
-    or t_final when listed); a time within 1e-12 max(1, t_final) of 0 fires
-    with the initial field.  Returns the final field and one StepRecord per
-    accepted step, plus the initial record at t = 0.  Passing a records list
-    makes it fill in place, so partial histories survive mid-run failures.
-    Each accepted state's velocity is solved once: the solve gives the
-    record's energy and is the next step's stage-0 velocity.  A non-finite
-    initial field raises BlowUpError at t = 0.  A SolverError raised with no
-    t gets the time of the state its step or record started from.
+    or t_final when listed).  Each target within tol = 1e-12 max(1, t_final)
+    of 0 or of the one before fires with the same field as that one, and a
+    step's record takes the last target it reached.  Returns the final field
+    and one StepRecord per accepted step, plus the initial record at t = 0.
+    Passing a records list makes it fill in place, so partial histories
+    survive mid-run failures.  Each accepted state's velocity is solved
+    once: the solve gives the record's energy and is the next step's stage-0
+    velocity.  A non-finite initial field raises BlowUpError at t = 0.  A
+    SolverError raised with no t gets the time of the state its step or
+    record started from.
     """
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final must be finite and positive, got {t_final}")
@@ -235,24 +237,23 @@ def integrate(
         records.append(StepRecord(t, dt, lam, restarts, e_total, float(solved[0].node_h.min())))
         return solved
 
+    def reach(t_hit):
+        """Fire and drop each next target within tol of t_hit; return the last."""
+        while targets and targets[0] <= t_hit + tol:
+            t_hit = targets.pop(0)
+            if t_hit in wanted and on_snapshot is not None:
+                on_snapshot(t_hit, field)
+        return t_hit
+
     try:
         _check_finite(field.h, field.q, 0.0)  # before velocity's solve can fail on it
         solved = record(field, 0.0, 0.0, np.inf, 0)
-        for ts in targets:
-            if ts <= tol and ts in wanted and on_snapshot is not None:
-                on_snapshot(ts, field)
-        targets = [ts for ts in targets if ts > tol]
-
+        reach(0.0)
         while targets:
-            target = targets[0]
-            step = ssp_rk3_step(basis, solved, scheme, g, cfl, t, t_final, target)
-            field, t = step.field, step.t
+            step = ssp_rk3_step(basis, solved, scheme, g, cfl, t, t_final, targets[0])
+            field = step.field
             restarts_total += step.restarts
-            if t >= target - tol:
-                t = target
-                if on_snapshot is not None and target in wanted:
-                    on_snapshot(target, field)
-                targets.pop(0)
+            t = reach(step.t)
             solved = record(field, t, step.dt, step.lam, restarts_total)
     except SolverError as exc:
         if exc.t is None:

@@ -43,6 +43,15 @@ def test_only_core_binds_the_eigensolver():
     assert binding == ["sgswe.core", "sgswe.linalg"]
 
 
+def test_only_core_and_cli_bind_the_run_detector():
+    # velocity's runs are the step's one map of copied cells, which the flux
+    # window and cfl_dt read; the snapshot writer finds runs of its own rows
+    binding = [name for name in MODULES
+               if any(value is sgswe.linalg._run_starts
+                      for value in vars(importlib.import_module(name)).values())]
+    assert binding == ["sgswe.cli", "sgswe.core", "sgswe.linalg"]
+
+
 # module -> the functions whose spans or counters the tracer reports
 TRACED = {
     "basis": ["build_basis", "p_operator"],

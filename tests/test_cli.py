@@ -640,6 +640,25 @@ def test_main_solver_error_exit_codes(tmp_path, monkeypatch, capsys, exc, code):
     assert (out / "energy.csv").exists()
 
 
+def test_main_writes_snapshots_closer_than_the_dt_floor(tmp_path, capsys):
+    # the two times differ by one ulp and have names of their own; the
+    # second lies below the 1e-14 t_final dt floor past the first
+    out = tmp_path / "o"
+    path = write_cfg(
+        tmp_path,
+        "experiment = dam_break_flat\nscheme = es2\nK = 3\nnx = 20\nt_final = 0.2\n"
+        f"snapshot_times = 0.1234565, 0.12345650000000001\noutput_dir = {out}\n",
+    )
+    assert main(["run", "--config", str(path)]) == 0
+    assert "error" not in capsys.readouterr().err
+    names = ["energy.csv", "snapshot_t0.123456.csv", "snapshot_t0.123457.csv"]
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert (out / names[1]).read_bytes() == (out / names[2]).read_bytes()
+    _, rows = read_csv(out / "energy.csv")
+    assert 0.12345650000000001 in [float(row[0]) for row in rows]
+    assert float(rows[-1][0]) == 0.2
+
+
 def test_main_check_mode(tmp_path, capsys):
     path = write_cfg(
         tmp_path,

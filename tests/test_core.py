@@ -101,7 +101,7 @@ def test_velocity_raises_on_hyperbolicity_loss(basis4, factorized):
 
 def _runs_of(fld):
     """velocity's run starts of fld and the cells they index."""
-    new = _run_starts(np.concatenate([fld.h, fld.q], axis=1))
+    new = _run_starts(np.concatenate([fld.h, fld.q, fld.bottom], axis=1))
     return new, np.flatnonzero(new)
 
 
@@ -124,14 +124,17 @@ def test_velocity_solves_each_run_once(factorized, K):
     fld = _field_with_runs(np.random.default_rng(30 + K), K, [5, 1, 1, 3, 1, 4])  # runs at both ends
     fld.h[5] = fld.h[0]  # the h of run 0 with another q: still a run of its own
     fld.h[7:10] *= 0.01  # P(h) eigenvalues below eps = dx: desingularized
+    split = replace(fld, bottom=fld.bottom.copy())
+    split.bottom[13:] = 0.5  # only B changes inside the last run, 11-14: it splits
     basis = build_basis(K)
-    ref = velocity_every_cell(basis, fld)
-    factorized.clear()
-    solved = velocity(basis, fld)
-    _assert_solved_like(solved, ref)
-    assert solved[0].runs.tolist() == _runs_of(fld)[0].tolist()
-    assert sum(factorized) == 6
-    assert np.flatnonzero(solved[0].desingularized).tolist() == [7, 8, 9]
+    for case, runs in ((split, 7), (fld, 6)):
+        ref = velocity_every_cell(basis, case)
+        factorized.clear()
+        solved = velocity(basis, case)
+        _assert_solved_like(solved, ref)
+        assert solved[0].runs.tolist() == _runs_of(case)[0].tolist()
+        assert sum(factorized) == runs
+        assert np.flatnonzero(solved[0].desingularized).tolist() == [7, 8, 9]
     # Phu is the q~ of the CFL bound: the solved discharge where desingularized
     vel, out = solved
     assert vel.Phu[7:10].tobytes() == out.q[7:10].tobytes()

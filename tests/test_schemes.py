@@ -304,6 +304,64 @@ def test_flux_window_matches_every_interface(monkeypatch, scheme, policy, K, nam
 _BASES = {K: build_basis(K) for K in (1, 2, 3, 5)}
 
 
+def _byte_window_width(solved):
+    """Cells in the window that the (h, u, B) byte jumps of the padded grid
+    give, the narrowest window semidiscrete_rhs may take."""
+    vel, field = solved
+    rows = np.concatenate([pad_ghosts(a, field.ghost_policy)
+                           for a in (field.h, vel.u, field.bottom)], axis=1)
+    jumps = np.flatnonzero(_run_starts(rows)[1:])
+    return min(jumps[-1] + 2, field.nx + 3) - max(jumps[0] - 1, 0) + 1 if jumps.size else 2
+
+
+def test_flux_window_matches_every_interface_on_random_runs(monkeypatch):
+    # runs of copied cells, some split by their bottom alone, and under
+    # periodic ghosts first and last cells that are copies in different
+    # runs, whose wrap widens the window past the byte jumps
+    seen = set()
+    widths = []
+
+    def recorded(basis, h, *args):
+        widths.append(len(h))
+        return interface_flux(basis, h, *args)
+
+    monkeypatch.setattr(sgswe.schemes, "interface_flux", recorded)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        K=st.sampled_from([1, 2, 3]),
+        lengths=st.lists(st.integers(1, 5), min_size=1, max_size=6).filter(lambda l: sum(l) >= 3),
+        splits=st.lists(st.integers(0, 30), max_size=2),
+        wrap=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(K, lengths, splits, wrap, seed):
+        rng, basis = np.random.default_rng(seed), _BASES[K]
+        h, q = random_state_batch(rng, len(lengths), K)
+        B = 0.1 * rng.standard_normal((len(lengths), K))
+        if wrap:
+            h[-1], q[-1], B[-1] = h[0], q[0], B[0]
+        h, q, B = (np.repeat(a, lengths, axis=0) for a in (h, q, B))
+        for cell in splits:
+            B[cell % len(B)] += 0.25
+        hq = np.concatenate([h, q], axis=1)
+        for policy in ("outflow", "periodic"):
+            fld = Field(h=h, q=q, bottom=B, dx=1.0 / len(h), x_left=0.0, ghost_policy=policy)
+            solved = velocity(basis, fld)
+            if np.any(solved[0].runs[1:] & np.all(hq[1:] == hq[:-1], axis=1)):
+                seen.add("bottom split")
+            for scheme in SchemeKind:
+                widths.clear()
+                got = _rhs_outcome(semidiscrete_rhs, basis, solved, scheme)
+                assert got == _rhs_outcome(rhs_every_interface, basis, solved, scheme)
+                if widths[0] > _byte_window_width(solved):
+                    assert policy == "periodic"
+                    seen.add("widened periodic wrap")
+
+    check()
+    assert seen == {"bottom split", "widened periodic wrap"}
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(
     K=st.sampled_from(sorted(_BASES)),

@@ -283,6 +283,34 @@ def test_integrate_snapshots_inside_the_time_tolerance(t_final, snapshot_times):
     assert all(f is fld for t, f in seen if t <= 1e-12)
 
 
+@pytest.mark.parametrize("t_final", [0.02, 3.0])
+def test_integrate_reaches_targets_closer_than_the_dt_floor(t_final):
+    # a step that reaches a target also reaches the next ones within
+    # 1e-12 max(1, t_final) of it, chained; they fire with its field, so no
+    # step is clamped below the 1e-14 t_final floor, and the run still ends
+    # at exactly t_final
+    basis = build_basis(2)
+    fld = _sine_field(basis, 16)
+    tol = 1e-12 * max(1.0, t_final)
+    near = np.nextafter(t_final, 0.0)
+    half = 0.5 * t_final
+    chain = (half, half + 0.6 * tol, half + 1.2 * tol, half + 1.2 * tol + 1e-16 * t_final)
+    for snapshot_times in ((near,), chain + (near,)):
+        seen = []
+        final, records = integrate(basis, fld, SchemeKind.EC, 1.0, 0.45, t_final,
+                                   snapshot_times=snapshot_times,
+                                   on_snapshot=lambda t, f: seen.append((t, f)))
+        assert [t for t, _ in seen] == sorted(snapshot_times)
+        assert seen[-1][1] is final
+        if len(seen) > 1:
+            assert all(f is seen[0][1] for _, f in seen[:4])
+        times = [r.t for r in records]
+        assert times[-1] == t_final and all(b > a for a, b in zip(times, times[1:]))
+        assert t_final not in times[:-1] and near not in times
+        if len(seen) > 1:
+            assert chain[-1] in times and not set(chain[:-1]) & set(times)
+
+
 def test_integrate_record_invariants():
     basis = build_basis(3)
     fld = _sine_field(basis, 24)
