@@ -309,16 +309,16 @@ def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):
     *_q005 and *_q995 are np.quantile's linear 0.5% and 99.5% quantiles of the
     surrogate at 1001 equispaced xi in [-1, 1]; their positions 5 and 995 are
     integers, so they are the 6th and 996th smallest values (NaN if any is).
+    Each run of byte-equal coefficient rows is evaluated once, by np.einsum:
+    no BLAS call, so no OpenBLAS thread wakes, and a row's bits are its own.
     """
-    xi = np.linspace(-1.0, 1.0, 1001)
-    table = eval_basis(xi, basis.K)  # (1001, K)
-    vals = np.empty((len(field.h), len(xi)))  # node values of one surrogate at a time
+    # (K, 1001) in C order: einsum's bits depend on the table's layout
+    table_t = eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K).T.copy()
 
     def stats(coeffs):
         mean, var = mean_variance(coeffs)
-        np.matmul(coeffs, table.T, out=vals)
-        new = _run_starts(vals)  # one sort per run of bitwise-equal cells
-        srt = vals[new]
+        new = _run_starts(coeffs)
+        srt = np.einsum("ik,kj->ij", coeffs[new], table_t)
         srt.sort(axis=-1)
         lo, hi = srt[:, [5, 995]], srt[:, [6, 996]]  # np.quantile's lerp, weight 0: -0.0 -> 0.0
         q = np.where(np.isnan(srt[:, 1000:]), np.nan, lo + (hi - lo) * 0.0)[np.cumsum(new) - 1]

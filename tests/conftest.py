@@ -308,7 +308,11 @@ def roe_equivalence_errors(basis, L, R, g):
 
 # Oracles of the CSV writers: per-cell quantiles from np.quantile over every
 # cell and rows formatted by np.savetxt.  The tests pin write_snapshot and
-# write_energy_series to their bytes.
+# write_energy_series to their bytes.  The node values are formed as
+# write_snapshot forms them, by np.einsum against a C-contiguous (K, 1001)
+# table: a BLAS product, or the same einsum on a transposed view, rounds some
+# of them differently.  einsum gives each row the same bits whatever the
+# batch, so evaluating every cell here checks write_snapshot's runs.
 
 
 def _savetxt_csv(path, header, columns):
@@ -319,11 +323,12 @@ def _savetxt_csv(path, header, columns):
 
 def snapshot_oracle(basis, field, path):
     """The snapshot CSV that sgswe.cli.write_snapshot must write, byte for byte."""
-    table = eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K)
+    table_t = np.ascontiguousarray(eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K).T)
 
     def stats(coeffs):
         mean, var = mean_variance(coeffs)
-        q005, q995 = np.quantile(coeffs @ table.T, [0.005, 0.995], axis=-1)
+        vals = np.einsum("ik,kj->ij", coeffs, table_t)
+        q005, q995 = np.quantile(vals, [0.005, 0.995], axis=-1)
         return mean, np.sqrt(var), q005, q995
 
     b_mean, b_var = mean_variance(field.bottom)

@@ -3,6 +3,8 @@
 import csv
 import dataclasses
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -457,13 +459,74 @@ def test_write_snapshot_quantiles_are_order_statistics(tmp_path):
     basis, field = _distinct()
     write_snapshot(basis, field, 0.0, tmp_path / "snap.csv")
     got = np.loadtxt(tmp_path / "snap.csv", delimiter=",", skiprows=1)
-    vals = np.sort(field.q @ eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K).T, axis=-1)
+    table_t = np.ascontiguousarray(eval_basis(np.linspace(-1.0, 1.0, 1001), basis.K).T)
+    vals = np.sort(np.einsum("ik,kj->ij", field.q, table_t), axis=-1)
     assert np.array_equal(got[:, 7], vals[:, 5]) and np.array_equal(got[:, 8], vals[:, 995])
     basis, field = _signed_zeros()
     write_snapshot(basis, field, 0.0, tmp_path / "snap.csv")
     got = np.loadtxt(tmp_path / "snap.csv", delimiter=",", skiprows=1)
     assert np.all(np.signbit(got[:, 5]) == np.signbit(field.q[:, 0]))  # q_mean keeps -0
     assert not np.signbit(got[:, [7, 8]]).any()
+
+
+def _repeated_cells(K, seed):
+    # a few hundred distinct cells over six decades, with runs of repeats
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, (300, 1))
+    h = 1.0 + rng.random((300, K)) * scale
+    q, B = rng.standard_normal((300, K)) * scale, rng.random((300, K))
+    for lo, hi in ((10, 25), (100, 103), (200, 260)):
+        h[lo:hi], q[lo:hi], B[lo:hi] = h[lo], q[lo], B[lo]
+    return build_basis(K), _field(h, q, B)
+
+
+def _rows_after_x(path):
+    return [line.split(b",", 1)[1] for line in path.read_bytes().split(b"\r\n")[1:-1]]
+
+
+@pytest.mark.parametrize("case", ["K1", "K3", "K9", "non_finite"])
+def test_write_snapshot_rows_are_cell_local(tmp_path, case):
+    # every row but x_center is the row of a field that repeats that cell 3 times
+    if case == "non_finite":
+        basis, field = _non_finite()
+    else:
+        basis, field = _repeated_cells(int(case[1:]), seed=int(case[1:]))
+    with np.errstate(all="ignore"):
+        write_snapshot(basis, field, 0.0, tmp_path / "all.csv")
+        got = _rows_after_x(tmp_path / "all.csv")
+        assert len(got) == field.nx
+        for i in range(field.nx):
+            h, q, B = (np.repeat(a[[i]], 3, axis=0) for a in (field.h, field.q, field.bottom))
+            write_snapshot(basis, _field(h, q, B), 0.0, tmp_path / "one.csv")
+            assert _rows_after_x(tmp_path / "one.csv") == [got[i]] * 3, i
+
+
+def test_write_snapshot_memory_scales_with_distinct_cells(tmp_path):
+    # 800 copies of one cell: one cell's node values are formed, not an
+    # (800, 1001) array of them
+    h = np.tile([1.5, 0.1, 0.02, 0.01, 0.005], (800, 1))
+    q = np.tile([0.3, -0.05, 0.0, 0.01, -0.002], (800, 1))
+    basis, field = build_basis(5), _field(h, q)
+    write_snapshot(basis, field, 0.0, tmp_path / "warm.csv")
+    tracemalloc.start()
+    try:
+        write_snapshot(basis, field, 0.0, tmp_path / "snap.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 800 * 1001 * 8 / 4, peak
+
+
+def test_write_snapshot_leaves_no_thread_spinning(tmp_path):
+    # a BLAS product of this size wakes OpenBLAS's threads, and one of them
+    # then busy-waits for about 125 ms; write_snapshot makes no BLAS call
+    basis, field = _repeated_cells(5, seed=5)
+    time.sleep(0.25)  # outlast any spin an earlier test started
+    write_snapshot(basis, field, 0.0, tmp_path / "snap.csv")
+    cpu, wall = time.process_time(), time.perf_counter()
+    time.sleep(0.1)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu < 0.2 * wall, (cpu, wall)
 
 
 def _repeated_records():
