@@ -22,7 +22,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .basis import PceBasis, build_basis, eval_basis, mean_variance
-from .core import Field, positivity_check, project_bottom, velocity
+from .core import GHOST_MODES, Field, positivity_check, project_bottom, velocity
 from .errors import ConfigError, SolverError
 from .linalg import _run_starts
 from .schemes import SchemeKind, semidiscrete_rhs
@@ -112,9 +112,9 @@ class SolverConfig:
             raise ConfigError(f"t_final must be positive, got {self.t_final}")
         if not self.cfl > 0.0:
             raise ConfigError(f"cfl must be positive, got {self.cfl}")
-        if not self.x_right > self.x_left:
-            raise ConfigError("x_right must exceed x_left")
-        if self.boundary not in ("outflow", "periodic"):
+        if not 0.0 < (self.x_right - self.x_left) / self.nx < math.inf:
+            raise ConfigError("x_right must exceed x_left, with a finite dx > 0")
+        if self.boundary not in GHOST_MODES:
             raise ConfigError(f"unknown boundary {self.boundary!r}")
         names = {}
         for ts in self.snapshot_times:
@@ -163,7 +163,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> So
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     pairs = {**_parse_pairs(text, str(path)), **(overrides or {})}

@@ -24,8 +24,11 @@ __all__ = [
     "velocity",
     "symmetrizer_eig",
     "project_bottom",
-    "pad_ghosts",
+    "GHOST_MODES",
 ]
+
+# Each boundary policy's np.pad mode, which fills the two ghost layers per side.
+GHOST_MODES = {"outflow": "edge", "periodic": "wrap"}
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,9 @@ class Velocity:
 class Field:
     """Uniform 1D grid of cell-averaged PCE coefficients.
 
-    h, q, bottom have shape (nx, K); bottom is time-independent.
-    ghost_policy selects how pad_ghosts fills the two ghost layers.
+    h, q, bottom have shape (nx, K) and are stored as float64; bottom is
+    time-independent.  ghost_policy is a key of GHOST_MODES, whose np.pad
+    mode fills the two ghost layers per side.
     """
 
     h: np.ndarray
@@ -58,11 +62,15 @@ class Field:
     ghost_policy: str = "outflow"
 
     def __post_init__(self):
+        arrays = (np.asarray(a, dtype=float) for a in (self.h, self.q, self.bottom))
+        self.h, self.q, self.bottom = arrays
         if self.h.shape != self.q.shape or self.h.shape != self.bottom.shape:
             raise ValueError("h, q, bottom must share one (nx, K) shape")
         if self.h.ndim != 2 or self.h.shape[0] < 3:
             raise ValueError("need at least 3 cells (ES2 stencils)")
-        if self.ghost_policy not in ("outflow", "periodic"):
+        if not 0.0 < self.dx < np.inf or not np.isfinite(self.x_left):
+            raise ValueError(f"need a finite dx > 0 and x_left, got {self.dx} and {self.x_left}")
+        if self.ghost_policy not in GHOST_MODES:
             raise ValueError(f"unknown ghost policy {self.ghost_policy!r}")
 
     @property
@@ -72,18 +80,6 @@ class Field:
     @property
     def x_centers(self) -> np.ndarray:
         return self.x_left + self.dx * (np.arange(self.nx) + 0.5)
-
-
-def pad_ghosts(arr: np.ndarray, policy: str) -> np.ndarray:
-    """Prepend/append two ghost layers along axis 0.
-
-    outflow copies the nearest interior cell into both layers; periodic wraps.
-    """
-    if policy == "outflow":
-        return np.concatenate([arr[:1], arr[:1], arr, arr[-1:], arr[-1:]], axis=0)
-    if policy == "periodic":
-        return np.concatenate([arr[-2:], arr, arr[:2]], axis=0)
-    raise ValueError(f"unknown ghost policy {policy!r}")
 
 
 def positivity_check(basis: PceBasis, h: np.ndarray) -> np.ndarray:

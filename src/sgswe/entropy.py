@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import p_operator
-from .linalg import _dot, _mv
+from .linalg import _mv
 
 __all__ = ["energy"]
 
@@ -27,4 +27,5 @@ def energy(
     h: np.ndarray, q: np.ndarray, bottom: np.ndarray, g: float, u: np.ndarray
 ) -> np.ndarray:
     """E = (q.u + g |h|^2)/2 + g h.B, with u the velocity solved from (h, q)."""
-    return 0.5 * (_dot(q, u) + g * _dot(h, h)) + g * _dot(h, bottom)
+    qu, hh, hB = (np.sum(a * b, axis=-1) for a, b in ((q, u), (h, h), (h, bottom)))
+    return 0.5 * (qu + g * hh) + g * hB

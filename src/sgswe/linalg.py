@@ -67,11 +67,6 @@ def _mtv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ji,...j->...i", A, x)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched inner product over the trailing axis."""
-    return np.sum(a * b, axis=-1)
-
-
 def _eigh_split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh of an (N, n, n) stack, split across the pool."""
     chunks = min(_WIDTH, S.size // _MIN_CHUNK)

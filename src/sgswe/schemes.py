@@ -19,13 +19,12 @@ from enum import Enum
 import numpy as np
 
 from .basis import PceBasis, p_operator
-from .core import Field, Velocity, pad_ghosts, symmetrizer_eig
+from .core import GHOST_MODES, Field, Velocity, symmetrizer_eig
 from .entropy import _entropy_vars
 from .linalg import _mtv, _mv
 
 __all__ = [
     "SchemeKind",
-    "minmod_phi",
     "interface_flux",
     "semidiscrete_rhs",
 ]
@@ -48,13 +47,9 @@ class SchemeKind(str, Enum):
             raise ValueError(f"unknown scheme {name!r}; expected ec, es1 or es2") from None
 
 
-def minmod_phi(theta: np.ndarray) -> np.ndarray:
-    """Minmod limiter phi(theta) = clip(theta, 0, 1)."""
-    return np.clip(theta, 0.0, 1.0)
-
-
 def _es2_pi(wj_prev, wj_mid, wj_next, w_left, w_right):
-    """Componentwise diffusion scaling Pi = 1 - phi(th-)/2 - phi(th+)/2.
+    """Componentwise diffusion scaling Pi = 1 - phi(th-)/2 - phi(th+)/2,
+    with phi(theta) = clip(theta, 0, 1) the minmod limiter.
 
     th+ compares the upwind jump wj_prev to wj_mid, th- the downwind jump
     wj_next to wj_mid.  Denominator components below _THETA_GUARD relative
@@ -68,7 +63,7 @@ def _es2_pi(wj_prev, wj_mid, wj_next, w_left, w_right):
     safe = np.where(small, 1.0, wj_mid)
     theta_plus = np.where(small, 0.0, wj_prev / safe)
     theta_minus = np.where(small, 0.0, wj_next / safe)
-    return 1.0 - 0.5 * minmod_phi(theta_minus) - 0.5 * minmod_phi(theta_plus)
+    return 1.0 - 0.5 * np.clip(theta_minus, 0.0, 1.0) - 0.5 * np.clip(theta_plus, 0.0, 1.0)
 
 
 def interface_flux(
@@ -113,15 +108,13 @@ def interface_flux(
         wjump = w_right - w_left
         weight = np.abs(lam)
         if scheme is SchemeKind.ES2:
-            Pi = np.ones_like(wjump)
-            Pi[..., 1:-1, :] = _es2_pi(
+            weight[..., 1:-1, :] *= _es2_pi(
                 wjump[..., :-2, :],
                 wjump[..., 1:-1, :],
                 wjump[..., 2:, :],
                 w_left[..., 1:-1, :],
                 w_right[..., 1:-1, :],
             )
-            weight = weight * Pi
         F = F - 0.5 * _mv(T, weight * wjump)
     return F, Ph_bar
 
@@ -134,10 +127,11 @@ def semidiscrete_rhs(
     diffusion included) it differences, of shape (nx+1, 2K).
 
     solved is velocity(basis, field): the velocity of the interior cells
-    and the field it was solved from.  The cell indices get two ghost
-    layers per side following field.ghost_policy.  The well-balanced source
-    has a zero height block and S_q = -(g / 2 dx) (P(h_bar+) [[B]]+ +
-    P(h_bar-) [[B]]-) over the right (+) and left (-) interfaces of the cell.
+    and the field it was solved from.  np.pad gives the cell indices two
+    ghost layers per side, in the GHOST_MODES mode of field.ghost_policy.
+    The well-balanced source has a zero height block and S_q = -(g / 2 dx)
+    (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) over the right (+) and left (-)
+    interfaces of the cell.
 
     interface_flux runs on the padded cells from one before the first
     interface between two of velocity's runs (vel.runs) to two after the
@@ -146,7 +140,7 @@ def semidiscrete_rhs(
     """
     vel, field = solved
     nx = field.nx
-    cells = pad_ghosts(np.arange(nx), field.ghost_policy)
+    cells = np.pad(np.arange(nx), 2, mode=GHOST_MODES[field.ghost_policy])
     jumps = np.flatnonzero(np.diff(np.cumsum(vel.runs)[cells]))
     lo, hi = (max(jumps[0] - 1, 0), min(jumps[-1] + 2, nx + 3)) if jumps.size else (0, 1)
     h, u, B = (a[cells[lo : hi + 1]] for a in (field.h, vel.u, field.bottom))

@@ -7,7 +7,7 @@ import pytest
 
 import sgswe.linalg
 from sgswe.basis import build_basis, eval_basis, mean_variance, p_operator
-from sgswe.core import Velocity, _p_eig, pad_ghosts, positivity_check, symmetrizer_eig
+from sgswe.core import GHOST_MODES, Velocity, _p_eig, positivity_check, symmetrizer_eig
 from sgswe.entropy import energy
 from sgswe.linalg import _mtv, sym_eig
 from sgswe.schemes import interface_flux
@@ -206,12 +206,18 @@ def velocity_every_cell(basis, field):
     return Velocity(u, activated, _mv(Ph, u), node_h, runs), replace(field, q=q_new)
 
 
+def ghost_padded(a, policy):
+    """a with two ghost layers per side along axis 0, filled by np.pad in the
+    GHOST_MODES mode of policy."""
+    return np.pad(a, [(2, 2)] + [(0, 0)] * (a.ndim - 1), mode=GHOST_MODES[policy])
+
+
 def rhs_every_interface(basis, solved, scheme, g):
     """sgswe.schemes.semidiscrete_rhs with interface_flux on the whole padded
     stack: the oracle its window of jumps must match byte for byte."""
     vel, field = solved
     nx = field.nx
-    hp, up, Bp = (pad_ghosts(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
+    hp, up, Bp = (ghost_padded(a, field.ghost_policy) for a in (field.h, vel.u, field.bottom))
     flux, Ph_bar = interface_flux(basis, hp, up, Bp, scheme, g)
     fluxes = flux[1 : nx + 2]
     PhjB = _mv(Ph_bar, Bp[1:] - Bp[:-1])
@@ -228,7 +234,7 @@ def grid_energy_pair(basis, solved, fluxes, g):
     semidiscrete_rhs(basis, solved, scheme, g)."""
     vel, field = solved
     hp, up, Bp = (
-        pad_ghosts(a, field.ghost_policy)[1 : field.nx + 3]
+        ghost_padded(a, field.ghost_policy)[1 : field.nx + 3]
         for a in (field.h, vel.u, field.bottom)
     )
     V = entropy_vars_at(basis, hp, up, Bp, g)

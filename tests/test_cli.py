@@ -126,6 +126,15 @@ def test_load_config_rejects(tmp_path, text, fragment):
         load_config(write_cfg(tmp_path, text))
 
 
+def test_load_config_reads_byte_order_mark(tmp_path):
+    # editors may save UTF-8 with a byte-order mark; it is not part of the
+    # first key
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfexperiment = dam_break_flat\nnx = 32\n")
+    cfg = load_config(path)
+    assert (cfg.experiment, cfg.nx) == ("dam_break_flat", 32)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.cfg")
@@ -148,6 +157,8 @@ def test_load_config_missing_file(tmp_path):
         {"t_final": math.inf},
         {"x_right": math.inf},
         {"x_left": -math.inf},
+        {"x_left": -1e308, "x_right": 1e308},  # dx would overflow to inf
+        {"x_left": 0.0, "x_right": 5e-324},  # dx would underflow to 0
         {"cfl": math.inf},
         {"snapshot_times": (math.nan,)},
         {"experiment": "custom", "custom": {"w_left": math.inf}},

@@ -9,15 +9,16 @@ import pytest
 import sgswe.linalg
 from sgswe.basis import build_basis, p_operator
 from sgswe.core import (
+    GHOST_MODES,
     Field,
     _p_eig,
-    pad_ghosts,
     project_bottom,
     symmetrizer_eig,
     velocity,
 )
 from sgswe.errors import HyperbolicityError, PositivityError
 from sgswe.linalg import _mv, _run_starts
+from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import _speed_bound
 
 from conftest import (
@@ -293,23 +294,11 @@ def test_symmetrizer_batched_matches_single(monkeypatch, pool):
     assert pool.sizes
 
 
-def test_pad_ghosts_outflow():
-    arr = np.arange(8.0).reshape(4, 2)
-    padded = pad_ghosts(arr, "outflow")
-    assert padded.shape == (8, 2)
-    assert np.array_equal(padded[0], arr[0])
-    assert np.array_equal(padded[1], arr[0])
-    assert np.array_equal(padded[-1], arr[-1])
-    assert np.array_equal(padded[-2], arr[-1])
-
-
-def test_pad_ghosts_periodic():
-    arr = np.arange(8.0).reshape(4, 2)
-    padded = pad_ghosts(arr, "periodic")
-    assert np.array_equal(padded[0], arr[-2])
-    assert np.array_equal(padded[1], arr[-1])
-    assert np.array_equal(padded[-2], arr[0])
-    assert np.array_equal(padded[-1], arr[1])
+def test_ghost_modes_layouts():
+    # the two ghost layers per side that semidiscrete_rhs pads its cell
+    # indices with: outflow repeats the edge cell, periodic wraps around
+    layouts = {p: np.pad(np.arange(4), 2, mode=m).tolist() for p, m in GHOST_MODES.items()}
+    assert layouts == {"outflow": [0, 0, 0, 1, 2, 3, 3, 3], "periodic": [2, 3, 0, 1, 2, 3, 0, 1]}
 
 
 def test_project_bottom_exact_for_polynomial(basis4):
@@ -326,5 +315,30 @@ def test_field_validation():
         Field(h=h, q=np.ones((4, 2)), bottom=np.zeros((4, 3)), dx=0.1, x_left=0.0)
     with pytest.raises(ValueError):
         Field(h=np.ones((2, 3)), q=np.ones((2, 3)), bottom=np.zeros((2, 3)), dx=0.1, x_left=0.0)
+    for dx, x_left in ((0.0, 0.0), (-0.1, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+                       (0.1, np.nan), (0.1, -np.inf)):
+        with pytest.raises(ValueError, match="finite dx > 0 and x_left"):
+            Field(h=h, q=np.zeros((4, 3)), bottom=np.zeros((4, 3)), dx=dx, x_left=x_left)
+    with pytest.raises(ValueError, match="ghost policy"):
+        Field(h=h, q=h, bottom=h, dx=0.1, x_left=0.0, ghost_policy="reflect")
     fld = Field(h=h, q=np.zeros((4, 3)), bottom=np.zeros((4, 3)), dx=0.25, x_left=-1.0)
     assert np.array_equal(fld.x_centers, np.array([-0.875, -0.625, -0.375, -0.125]))
+
+
+@pytest.mark.parametrize("policy", sorted(GHOST_MODES))
+def test_float32_field_solves_as_its_float64_twin(policy):
+    # Field stores float64: a float32 K = 1 field (rows of 12 bytes) gives
+    # the velocity and right-hand side bytes of its float64 twin
+    basis = build_basis(1)
+    h32 = np.array([[2.0], [2.0], [1.0], [1.5], [1.5]], dtype=np.float32)
+    q32 = np.array([[0.1], [0.1], [0.0], [-0.2], [-0.2]], dtype=np.float32)
+    fields = [Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.2, x_left=0.0, ghost_policy=policy)
+              for h, q in ((h32, q32), (h32.astype(float), q32.astype(float)))]
+    assert all(f.h.dtype == f.q.dtype == f.bottom.dtype == np.float64 for f in fields)
+    out = []
+    for fld in fields:
+        solved = velocity(basis, fld)
+        out.append([solved[0].u.tobytes(), solved[1].q.tobytes()]
+                   + [a.tobytes() for scheme in SchemeKind
+                      for a in semidiscrete_rhs(basis, solved, scheme, 1.0)])
+    assert out[0] == out[1]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import sgswe.linalg
 import sgswe.schemes
 from sgswe.basis import build_basis, p_operator
-from sgswe.core import Field, _p_eig, pad_ghosts, positivity_check, symmetrizer_eig, velocity
+from sgswe.core import Field, _p_eig, positivity_check, symmetrizer_eig, velocity
 from sgswe.errors import HyperbolicityError, PositivityError
 from sgswe.linalg import _run_starts
-from sgswe.schemes import SchemeKind, interface_flux, minmod_phi, semidiscrete_rhs
+from sgswe.schemes import SchemeKind, _es2_pi, interface_flux, semidiscrete_rhs
 from sgswe.timestep import integrate
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     entropy_vars_at,
     entropy_variables,
     exact_u,
+    ghost_padded,
     grid_energy_pair,
     interface_energy_flux,
     physical_flux,
@@ -52,9 +53,19 @@ def _stack(basis, states, bottoms, scheme, g):
     return interface_flux(basis, *_cells(basis, states, bottoms), scheme, g)
 
 
-def test_minmod_phi_values():
-    theta = np.array([-2.0, -1e-9, 0.0, 0.3, 1.0, 7.5, np.inf])
-    assert np.array_equal(minmod_phi(theta), [0.0, 0.0, 0.0, 0.3, 1.0, 1.0, 1.0])
+def test_es2_pi_minmod_values():
+    # phi(theta) = clip(theta, 0, 1) on theta below 0, in [0, 1] and above 1,
+    # for th+ (wj_prev / wj_mid) and th- (wj_next / wj_mid) alike; a
+    # denominator under the guard gives phi = 0 on both sides, so Pi = 1
+    # (7 interfaces of one component each; the one-sided variables are 1)
+    theta = np.array([[-2.0], [-1e-9], [0.0], [0.3], [1.0], [7.5], [np.inf]])
+    phi = np.array([[0.0], [0.0], [0.0], [0.3], [1.0], [1.0], [1.0]])
+    one, zero = np.ones((7, 1)), np.zeros((7, 1))
+    assert np.array_equal(_es2_pi(theta, one, zero, one, one), 1.0 - 0.5 * phi)
+    assert np.array_equal(_es2_pi(zero, one, theta, one, one), 1.0 - 0.5 * phi)
+    assert np.array_equal(_es2_pi(theta, one, theta, one, one), 1.0 - phi)
+    tiny = np.full((7, 1), 1e-15)
+    assert np.array_equal(_es2_pi(theta, tiny, theta, one, one), one)
 
 
 def test_scheme_kind_parsing():
@@ -308,7 +319,7 @@ def _byte_window_width(solved):
     """Cells in the window that the (h, u, B) byte jumps of the padded grid
     give, the narrowest window semidiscrete_rhs may take."""
     vel, field = solved
-    rows = np.concatenate([pad_ghosts(a, field.ghost_policy)
+    rows = np.concatenate([ghost_padded(a, field.ghost_policy)
                            for a in (field.h, vel.u, field.bottom)], axis=1)
     jumps = np.flatnonzero(_run_starts(rows)[1:])
     return min(jumps[-1] + 2, field.nx + 3) - max(jumps[0] - 1, 0) + 1 if jumps.size else 2
@@ -407,7 +418,7 @@ def test_es2_scaling_in_unit_interval(basis4):
     rng = np.random.default_rng(6)
     g = 1.0
     fld = _random_field(rng, 16, 4)
-    hp, qp, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, fld.q, fld.bottom))
+    hp, qp, Bp = (ghost_padded(a, "outflow") for a in (fld.h, fld.q, fld.bottom))
     up = exact_u(basis4, hp, qp)
     V = np.concatenate(
         [-0.5 * np.einsum("nij,nj->ni", p_operator(basis4, up), up) + g * (hp + Bp), up],
@@ -416,8 +427,6 @@ def test_es2_scaling_in_unit_interval(basis4):
     T, _ = symmetrizer_eig(basis4, 0.5 * (hp[:-1] + hp[1:]), 0.5 * (up[:-1] + up[1:]), g)
     w_side = np.einsum("nji,nj->ni", T, V[:-1]), np.einsum("nji,nj->ni", T, V[1:])
     wjump = w_side[1] - w_side[0]
-    from sgswe.schemes import _es2_pi
-
     Pi = _es2_pi(wjump[:-2], wjump[1:-1], wjump[2:], w_side[0][1:-1], w_side[1][1:-1])
     assert np.all(Pi >= 0.0) and np.all(Pi <= 1.0)
 
@@ -436,7 +445,7 @@ def test_per_interface_matches_batched(basis4):
     g = 1.0
     fld = _random_field(rng, 12, 4)
     solved = velocity(basis4, fld)
-    hp, up, Bp = (pad_ghosts(a, "outflow") for a in (fld.h, solved[0].u, fld.bottom))
+    hp, up, Bp = (ghost_padded(a, "outflow") for a in (fld.h, solved[0].u, fld.bottom))
     nx = fld.nx
     for scheme in SchemeKind:
         _, fluxes = semidiscrete_rhs(basis4, solved, scheme, g)
