@@ -292,15 +292,19 @@ def _snapshot_name(t: float) -> str:
 def _write_csv(path: Path, header: list[str], columns: list):
     """One row per entry of the equal-length columns at %.17g, CRLF line
     ends (newline="" keeps them so on Windows).  Column 0 is formatted per
-    row and the others once per run of byte-equal rows, each by one %."""
+    row and the others once per run of byte-equal rows, each by one %.
+    A file that cannot be written raises ConfigError (exit 2)."""
     table = np.column_stack(columns)
     new = _run_starts(table[:, 1:])
     runs = ((",%.17g" * (table.shape[1] - 1) + "\n") * int(new.sum())
             % tuple(table[new, 1:].ravel().tolist())).split("\n")
     firsts = ("%.17g\n" * len(table) % tuple(table[:, 0].tolist())).split("\n")
     rows = [first + runs[i] for first, i in zip(firsts, (np.cumsum(new) - 1).tolist())]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n" + "\r\n".join(rows) + "\r\n")
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(",".join(header) + "\r\n" + "\r\n".join(rows) + "\r\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def write_snapshot(basis: PceBasis, field: Field, t: float, path: Path):

@@ -27,8 +27,8 @@ __all__ = [
     "GHOST_MODES",
 ]
 
-# Each boundary policy's np.pad mode, which fills the two ghost layers per side.
-GHOST_MODES = {"outflow": "edge", "periodic": "wrap"}
+# Each boundary policy's np.take mode, which maps two ghost layers per side to cells.
+GHOST_MODES = {"outflow": "clip", "periodic": "wrap"}
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class Field:
     """Uniform 1D grid of cell-averaged PCE coefficients.
 
     h, q, bottom have shape (nx, K) and are stored as float64; bottom is
-    time-independent.  ghost_policy is a key of GHOST_MODES, whose np.pad
-    mode fills the two ghost layers per side.
+    time-independent.  ghost_policy is a key of GHOST_MODES, whose np.take
+    mode gives the cells of the two ghost layers per side.
     """
 
     h: np.ndarray
@@ -165,12 +165,13 @@ def symmetrizer_eig(
     """Eigendecomposition of the flux Jacobian at the intermediate state
     (h_bar, P(h_bar) u_bar), returned as (T, Lambda) with J = T Lambda T^{-1}.
 
-    Built from the symmetrizer: G = sqrt(g P(h)), the symmetric matrix D
-    assembled from G, P(u) and g G^{-1} P(q) G^{-1} is diagonalized as
-    D = L Lambda L^T, and T = R L with R the scaled eigenvector matrix
-    (1/sqrt(2g)) [I, I; P(u)+G, P(u)-G].  T Lambda T^T is then the
-    positive semi-definite Roe-type diffusion operator.  The products leave
-    D symmetric only up to rounding, so sym_eig is passed (D + D^T)/2.
+    Built from the symmetrizer's two block matrices, with G = sqrt(g P(h))
+    and C = g G^{-1} P(q) G^{-1}: D = (1/2) [2G + P(u) + C, P(u) - C;
+    P(u) - C, P(u) + C - 2G] is diagonalized as D = L Lambda L^T, and
+    T = R L with R = (1/sqrt(2g)) [I, I; P(u) + G, P(u) - G].  T Lambda T^T
+    is then the positive semi-definite Roe-type diffusion operator.  The
+    products leave D symmetric only up to rounding, so sym_eig is passed
+    (D + D^T)/2.
     """
     Ph, pi, Q = _p_eig(basis, h_bar)
     Qt = np.swapaxes(Q, -1, -2)
@@ -179,27 +180,14 @@ def symmetrizer_eig(
     Ginv = (Q / sq[..., None, :]) @ Qt
 
     Pu = p_operator(basis, u_bar)
-    q_tilde = _mv(Ph, u_bar)
-    Pq = p_operator(basis, q_tilde)
-    C = g * (Ginv @ Pq @ Ginv)
-
-    K = basis.K
-    shape = u_bar.shape[:-1]
-    D = np.empty(shape + (2 * K, 2 * K))
-    D[..., :K, :K] = 0.5 * (2.0 * G + Pu + C)
-    D[..., :K, K:] = 0.5 * (Pu - C)
-    D[..., K:, :K] = 0.5 * (Pu - C)
-    D[..., K:, K:] = 0.5 * (Pu + C - 2.0 * G)
+    C = g * (Ginv @ p_operator(basis, _mv(Ph, u_bar)) @ Ginv)
+    off = 0.5 * (Pu - C)
+    D = np.block([[0.5 * (2.0 * G + Pu + C), off], [off, 0.5 * (Pu + C - 2.0 * G)]])
     lam, L = sym_eig(0.5 * (D + np.swapaxes(D, -1, -2)))
-    L = _normalize_columns(L)
 
-    R = np.empty_like(D)
-    R[..., :K, :K] = np.eye(K)
-    R[..., :K, K:] = np.eye(K)
-    R[..., K:, :K] = Pu + G
-    R[..., K:, K:] = Pu - G
-    R /= np.sqrt(2.0 * g)
-    return R @ L, lam
+    I = np.broadcast_to(np.eye(basis.K), G.shape)
+    R = np.block([[I, I], [Pu + G, Pu - G]]) / np.sqrt(2.0 * g)
+    return R @ _normalize_columns(L), lam
 
 
 def project_bottom(B, basis: PceBasis, x_centers: np.ndarray) -> np.ndarray:

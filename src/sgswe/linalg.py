@@ -67,23 +67,6 @@ def _mtv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ji,...j->...i", A, x)
 
 
-def _eigh_split(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh of an (N, n, n) stack, split across the pool."""
-    chunks = min(_WIDTH, S.size // _MIN_CHUNK)
-    if chunks < 2:
-        return np.linalg.eigh(S)
-    first, *rest = np.array_split(S, chunks)
-    pool = _executor()
-    futures = [pool.submit(np.linalg.eigh, part) for part in rest]
-    try:
-        solved = [np.linalg.eigh(first)]
-    finally:
-        for f in futures:
-            f.exception()  # waits, so no chunk is still running when an error propagates
-    solved += [f.result() for f in futures]
-    return np.concatenate([w for w, _ in solved]), np.concatenate([v for _, v in solved])
-
-
 def _run_starts(rows: np.ndarray) -> np.ndarray:
     """True at row 0 of an (N, m) float array and at each row whose bytes differ
     from the row before; == would merge -0.0 with 0.0 and split a NaN run."""
@@ -96,6 +79,17 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition A = vectors @ diag(values) @ vectors^T of a
     symmetric matrix (eigh reads only its lower triangle) as (values,
     vectors), eigenvalues ascending."""
-    n = A.shape[-1]
-    values, vectors = _eigh_split(A.reshape(-1, n, n))
+    chunks = min(_WIDTH, A.size // _MIN_CHUNK)
+    if chunks < 2:
+        return np.linalg.eigh(A)
+    first, *rest = np.array_split(A.reshape(-1, *A.shape[-2:]), chunks)
+    pool = _executor()
+    futures = [pool.submit(np.linalg.eigh, part) for part in rest]
+    try:
+        solved = [np.linalg.eigh(first)]
+    finally:
+        for f in futures:
+            f.exception()  # waits, so no chunk is still running when an error propagates
+    solved += [f.result() for f in futures]
+    values, vectors = (np.concatenate(parts) for parts in zip(*solved))
     return values.reshape(A.shape[:-1]), vectors.reshape(A.shape)

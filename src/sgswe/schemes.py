@@ -127,8 +127,9 @@ def semidiscrete_rhs(
     diffusion included) it differences, of shape (nx+1, 2K).
 
     solved is velocity(basis, field): the velocity of the interior cells
-    and the field it was solved from.  np.pad gives the cell indices two
-    ghost layers per side, in the GHOST_MODES mode of field.ghost_policy.
+    and the field it was solved from.  np.take maps the cell indices
+    -2 .. nx+1, two ghost layers per side, to interior cells in the
+    GHOST_MODES mode of field.ghost_policy.
     The well-balanced source has a zero height block and S_q = -(g / 2 dx)
     (P(h_bar+) [[B]]+ + P(h_bar-) [[B]]-) over the right (+) and left (-)
     interfaces of the cell.
@@ -140,7 +141,7 @@ def semidiscrete_rhs(
     """
     vel, field = solved
     nx = field.nx
-    cells = np.pad(np.arange(nx), 2, mode=GHOST_MODES[field.ghost_policy])
+    cells = np.take(np.arange(nx), np.arange(-2, nx + 2), mode=GHOST_MODES[field.ghost_policy])
     jumps = np.flatnonzero(np.diff(np.cumsum(vel.runs)[cells]))
     lo, hi = (max(jumps[0] - 1, 0), min(jumps[-1] + 2, nx + 3)) if jumps.size else (0, 1)
     h, u, B = (a[cells[lo : hi + 1]] for a in (field.h, vel.u, field.bottom))

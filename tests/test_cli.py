@@ -675,6 +675,23 @@ def test_main_rejects_unusable_output_dir(tmp_path, capsys, out):
     assert "error: cannot create output directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked", ["energy.csv", "snapshot_t0.01.csv"])
+def test_main_reports_an_unwritable_output_file(tmp_path, capsys, blocked):
+    # a directory where a CSV goes: one error line and exit 2, not a
+    # traceback; after a failed snapshot the history up to it is written
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    path = write_cfg(tmp_path, "experiment = dam_break_flat\nK = 3\nnx = 20\nt_final = 0.01\n")
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / blocked}: ") and err.count("\n") == 1
+    if blocked == "energy.csv":
+        assert (out / "snapshot_t0.01.csv").is_file()
+    else:
+        _, rows = read_csv(out / "energy.csv")
+        assert err.endswith(f" (reached t = {float(rows[-1][0]):.17g})\n")
+
+
 @pytest.mark.parametrize(
     "flag", [["--nx", "4"], ["--cfl", "-1"], ["--scheme", "roe"], ["--nx", "ten"]]
 )

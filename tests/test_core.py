@@ -277,7 +277,8 @@ def test_symmetrizer_diffusion_operator_psd(basis4):
 def test_symmetrizer_batched_matches_single(monkeypatch, pool):
     # cfl_dt's dt is bitwise that of solving every cell only if a cell's
     # eigenpairs do not depend on the batch: not on its size, on the (1, K)
-    # rows that cfl_dt passes, or on the pool's chunks
+    # rows that cfl_dt passes, on the pool's chunks, or on the batch's layout:
+    # a (2, n // 2, K) stack goes through np.block with 4-D blocks
     monkeypatch.setattr(sgswe.linalg, "_WIDTH", 2)
     rng = np.random.default_rng(5)
     for K in (1, 4, 5, 9):
@@ -286,6 +287,9 @@ def test_symmetrizer_batched_matches_single(monkeypatch, pool):
         u = exact_u(basis, h, q)
         for n in (6, 120):
             T, lam = symmetrizer_eig(basis, h[:n], u[:n], 1.0)
+            T2, lam2 = symmetrizer_eig(basis, *(a[:n].reshape(2, n // 2, K) for a in (h, u)), 1.0)
+            assert T2.shape == (2, n // 2, 2 * K, 2 * K) and lam2.shape == (2, n // 2, 2 * K)
+            assert T2.tobytes() == T.tobytes() and lam2.tobytes() == lam.tobytes()
             for i in range(n):
                 for rows in (i, [i]):
                     Ti, lami = symmetrizer_eig(basis, h[rows], u[rows], 1.0)
@@ -294,16 +298,18 @@ def test_symmetrizer_batched_matches_single(monkeypatch, pool):
     assert pool.sizes
 
 
-# the two ghost layers per side that semidiscrete_rhs pads its cell indices
-# with, through GHOST_MODES: outflow repeats the edge cell, periodic wraps
+# the two ghost layers per side that semidiscrete_rhs gives its cell indices,
+# through GHOST_MODES: outflow repeats the edge cell, periodic wraps
+def _ghost_cells(policy):
+    return np.take(np.arange(4), np.arange(-2, 6), mode=GHOST_MODES[policy])
+
+
 def test_pad_ghosts_outflow():
-    padded = np.pad(np.arange(4), 2, mode=GHOST_MODES["outflow"])
-    assert padded.tolist() == [0, 0, 0, 1, 2, 3, 3, 3]
+    assert _ghost_cells("outflow").tolist() == [0, 0, 0, 1, 2, 3, 3, 3]
 
 
 def test_pad_ghosts_periodic():
-    padded = np.pad(np.arange(4), 2, mode=GHOST_MODES["periodic"])
-    assert padded.tolist() == [2, 3, 0, 1, 2, 3, 0, 1]
+    assert _ghost_cells("periodic").tolist() == [2, 3, 0, 1, 2, 3, 0, 1]
 
 
 def test_project_bottom_exact_for_polynomial(basis4):

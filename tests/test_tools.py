@@ -1,14 +1,23 @@
-"""tools/compare_captures.py on small hand-made capture trees."""
+"""tools/compare_captures.py on small hand-made capture trees, and
+tools/capture_outputs.py on one tiny config."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_captures.py"
-_spec = importlib.util.spec_from_file_location("compare_captures", TOOL)
-compare_captures = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_captures)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_captures = _load("compare_captures")
+capture_outputs = _load("capture_outputs")
 
 SNAPSHOT = "x_center,w_mean,w_q005\r\n-0.5,1.5,{q}\r\n0.5,nan,-inf\r\n"
 ENERGY = "t,E_total\r\n0,2.5\r\n0.01,{e}\r\n"
@@ -63,3 +72,43 @@ def test_stderr_numbers_compare_numerically(tmp_path):
     a = _capture(tmp_path / "a", stderr="error: dt 1.0000000000000002e-14 (reached t = 0.75)\n")
     assert _main(a, _capture(tmp_path / "b")) == 1
     assert _main(a, _capture(tmp_path / "c"), "--tol", "1e-15") == 0
+
+
+def test_capture_rejects_bad_arguments_and_writes_nothing(tmp_path, capsys):
+    assert capture_outputs.main([str(ROOT)]) == 2
+    assert capsys.readouterr().err == "usage: capture_outputs.py SRC OUT\n"
+    assert not any(tmp_path.iterdir())
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("earlier capture\n")
+    assert capture_outputs.main([str(ROOT), str(out)]) == 2
+    assert "exists and is not an empty directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
+
+def test_capture_of_one_config(tmp_path, monkeypatch, capsys):
+    # SRC holds one config and this checkout's package; no parity configs
+    src = tmp_path / "checkout"
+    (src / "perfbench" / "configs").mkdir(parents=True)
+    (src / "perfbench" / "configs" / "tiny.cfg").write_text(
+        "experiment = dam_break_flat\nK = 2\nnx = 16\nt_final = 0.01\n")
+    (src / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    (tmp_path / "parity").mkdir()
+    monkeypatch.setattr(capture_outputs, "PARITY", tmp_path / "parity")
+    out = tmp_path / "capture"
+    assert capture_outputs.main([str(src), str(out)]) == 0
+    assert capsys.readouterr().out == "tiny run: exit 0\ntiny check: exit 0\n"
+    assert sorted(p.name for p in out.iterdir()) == ["tiny"]
+    logs = ["exit_code.txt", "stderr.txt", "stdout.txt"]
+    run, check = out / "tiny" / "run", out / "tiny" / "check"
+    assert sorted(p.name for p in run.iterdir()) == sorted(logs + ["out"])
+    assert sorted(p.name for p in (run / "out").iterdir()) == ["energy.csv", "snapshot_t0.01.csv"]
+    assert (run / "stdout.txt").read_text().endswith(", outputs in out\n")
+    assert sorted(p.name for p in check.iterdir()) == logs
+    assert (check / "stdout.txt").read_text() == "check: rhs finite: ok\n"
+    for mode in (run, check):
+        assert (mode / "exit_code.txt").read_text() == "0\n"
+        assert (mode / "stderr.txt").read_text() == ""
+    assert sorted(p.name for p in src.iterdir()) == ["perfbench", "src"]
+    assert [p.name for p in (src / "perfbench" / "configs").iterdir()] == ["tiny.cfg"]
