@@ -9,6 +9,7 @@ batched coefficient arrays with shape (..., K); matrices come back as
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -102,13 +103,22 @@ def _p_eig(basis: PceBasis, h: np.ndarray, cells=None):
     if np.any(pi <= 0.0):
         flat = np.min(pi, axis=-1).reshape(-1)
         idx = int(np.argmin(flat))
-        cell = idx if cells is None else int(cells[idx])
-        raise HyperbolicityError(
-            f"P(h) not positive definite (min eigenvalue {flat[idx]:.6e} at batch index {cell})",
-            cell=cell,
-            detail=float(flat[idx]),
-        )
+        raise _not_hyperbolic(float(flat[idx]), idx if cells is None else int(cells[idx]))
     return Ph, pi, Q
+
+
+def _not_hyperbolic(detail: float, cell: int) -> HyperbolicityError:
+    msg = f"P(h) not positive definite (min eigenvalue {detail:.6e} at cell {cell})"
+    return HyperbolicityError(msg, cell=cell, detail=detail)
+
+
+@contextmanager
+def _cells_named(cells):
+    """Re-raise the enclosed solve's HyperbolicityError at batch index i as at cells[i]."""
+    try:
+        yield
+    except HyperbolicityError as exc:
+        raise _not_hyperbolic(exc.detail, int(cells[exc.cell])) from None
 
 
 def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
@@ -146,17 +156,17 @@ def velocity(basis: PceBasis, field: Field) -> tuple[Velocity, Field]:
     return Velocity(u[owner], activated[owner], Phu[owner], node_h, new), replace(field, q=q_new)
 
 
-def _normalize_columns(L: np.ndarray) -> np.ndarray:
-    """Flip eigenvector column signs so the largest-|entry| component is > 0.
+def _normalize_columns(L: np.ndarray, absL: np.ndarray) -> None:
+    """Flip eigenvector column signs, in place, so the largest-|entry|
+    component is > 0; absL, an array of L's shape, receives |L|.
 
     Makes the decomposition deterministic and spatially coherent, which the
     ES2 scaled-variable ratios rely on; symmetric products T |L| T^T are
     unaffected.
     """
-    idx = np.argmax(np.abs(L), axis=-2)
+    idx = np.argmax(np.abs(L, out=absL), axis=-2)
     lead = np.take_along_axis(L, idx[..., None, :], axis=-2)[..., 0, :]
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    return L * signs[..., None, :]
+    L *= np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
 
 
 def symmetrizer_eig(
@@ -171,7 +181,11 @@ def symmetrizer_eig(
     T = R L with R = (1/sqrt(2g)) [I, I; P(u) + G, P(u) - G].  T Lambda T^T
     is then the positive semi-definite Roe-type diffusion operator.  The
     products leave D symmetric only up to rounding, so sym_eig is passed
-    (D + D^T)/2.
+    S = (D + D^T)/2, filled as (A + A^T)/2 per block A of D: bitwise the
+    same, as IEEE addition commutes.  One (..., 2K, 2K) buffer holds S,
+    then |L|, then R, so that with L and T at most four such stacks are
+    live: glibc hands pages past its trim threshold back after a call and
+    the next call faults them in again.
     """
     Ph, pi, Q = _p_eig(basis, h_bar)
     Qt = np.swapaxes(Q, -1, -2)
@@ -181,13 +195,21 @@ def symmetrizer_eig(
 
     Pu = p_operator(basis, u_bar)
     C = g * (Ginv @ p_operator(basis, _mv(Ph, u_bar)) @ Ginv)
-    off = 0.5 * (Pu - C)
-    D = np.block([[0.5 * (2.0 * G + Pu + C), off], [off, 0.5 * (Pu + C - 2.0 * G)]])
-    lam, L = sym_eig(0.5 * (D + np.swapaxes(D, -1, -2)))
-
-    I = np.broadcast_to(np.eye(basis.K), G.shape)
-    R = np.block([[I, I], [Pu + G, Pu - G]]) / np.sqrt(2.0 * g)
-    return R @ _normalize_columns(L), lam
+    K = basis.K
+    S = np.empty((*G.shape[:-2], 2 * K, 2 * K))
+    blocks = (0.5 * (2.0 * G + Pu + C), 0.5 * (Pu - C), 0.5 * (Pu + C - 2.0 * G))
+    for A, rows, cols in zip(blocks, (0, 0, K), (0, K, K)):
+        np.add(A, np.swapaxes(A, -1, -2), out=S[..., rows : rows + K, cols : cols + K])
+    S[..., K:, :K] = S[..., :K, K:]
+    S *= 0.5
+    del Ph, Q, Qt, Ginv, C, blocks, A
+    lam, L = sym_eig(S)
+    _normalize_columns(L, S)
+    S[..., :K, :] = np.tile(np.eye(K), 2)
+    np.add(Pu, G, out=S[..., K:, :K])
+    np.subtract(Pu, G, out=S[..., K:, K:])
+    S /= np.sqrt(2.0 * g)
+    return S @ L, lam
 
 
 def project_bottom(B, basis: PceBasis, x_centers: np.ndarray) -> np.ndarray:

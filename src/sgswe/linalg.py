@@ -1,7 +1,7 @@
 """Dense symmetric eigensolver and batched products.
 
 sym_eig factorizes its input as it is: every P(a) is bitwise symmetric
-(build_basis), and symmetrizer_eig symmetrizes the D it assembles.
+(build_basis), and symmetrizer_eig symmetrizes its D block by block.
 Every function accepts stacked operands with shape (..., n, n).
 
 sym_eig factorizes every matrix it is passed.  Only core calls it, and the

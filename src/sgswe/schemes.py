@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .basis import PceBasis, p_operator
-from .core import GHOST_MODES, Field, Velocity, symmetrizer_eig
+from .core import GHOST_MODES, Field, Velocity, _cells_named, symmetrizer_eig
 from .entropy import _entropy_vars
 from .linalg import _mtv, _mv
 
@@ -145,7 +145,8 @@ def semidiscrete_rhs(
     jumps = np.flatnonzero(np.diff(np.cumsum(vel.runs)[cells]))
     lo, hi = (max(jumps[0] - 1, 0), min(jumps[-1] + 2, nx + 3)) if jumps.size else (0, 1)
     h, u, B = (a[cells[lo : hi + 1]] for a in (field.h, vel.u, field.bottom))
-    flux, Ph_bar = interface_flux(basis, h, u, B, scheme, g)
+    with _cells_named(cells[lo:]):  # window interface j lies right of cell cells[lo + j]
+        flux, Ph_bar = interface_flux(basis, h, u, B, scheme, g)
 
     # padded interface j sits between padded cells j and j+1; the interior
     # interfaces are j = 1 .. nx+1

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import PceBasis
-from .core import Field, Velocity, symmetrizer_eig, velocity
+from .core import Field, Velocity, _cells_named, symmetrizer_eig, velocity
 from .entropy import energy
 from .errors import BlowUpError, DtUnderflowError, SolverError
 from .schemes import SchemeKind, semidiscrete_rhs
@@ -86,14 +86,15 @@ def cfl_dt(basis: PceBasis, solved: tuple[Velocity, Field], g: float, cfl: float
     vel, field = solved
 
     def radius(cells) -> float:
-        return np.max(np.abs(symmetrizer_eig(basis, field.h[cells], vel.u[cells], g)[1]))
+        with _cells_named(cells):
+            return np.max(np.abs(symmetrizer_eig(basis, field.h[cells], vel.u[cells], g)[1]))
 
     upper = _speed_bound(basis, vel, g)
     top = np.argmax(upper)
     r = radius([top])
     keep = ~(upper < (1.0 - 1e-12) * r) & vel.runs
     keep[top] = False
-    return cfl * field.dx / float(np.maximum(r, radius(keep)) if keep.any() else r)
+    return cfl * field.dx / float(np.maximum(r, radius(np.flatnonzero(keep))) if keep.any() else r)
 
 
 def total_energy(solved: tuple[Velocity, Field], g: float) -> float:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sgswe.core
 import sgswe.linalg
 from sgswe.basis import build_basis, eval_basis, mean_variance, p_operator
 from sgswe.core import Velocity, _p_eig, positivity_check, symmetrizer_eig
@@ -86,6 +87,23 @@ def factorized(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     return sizes
+
+
+def lose_hyperbolicity(monkeypatch, K, index):
+    """Make core's sym_eig report -1 as the smallest eigenvalue of matrix
+    index of every K x K batch of more than index matrices, as a P(h) that
+    lost positive definiteness there would give; 2K x 2K solves are left
+    alone."""
+    real = sgswe.core.sym_eig
+
+    def losing(A):
+        values, vectors = real(A)
+        if A.shape[-1] == K and values.size > index * K:
+            values = values.copy()
+            values.reshape(-1, K)[index, 0] = -1.0
+        return values, vectors
+
+    monkeypatch.setattr(sgswe.core, "sym_eig", losing)
 
 
 def distinct_eyes(n, count):

@@ -1,6 +1,7 @@
 """State operations: velocity, fluxes, Jacobian, symmetrizer, projection."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from sgswe.core import (
     velocity,
 )
 from sgswe.errors import HyperbolicityError, PositivityError
-from sgswe.linalg import _mv, _run_starts
+from sgswe.linalg import _mv, _run_starts, sym_eig
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import _speed_bound
 
@@ -296,6 +297,65 @@ def test_symmetrizer_batched_matches_single(monkeypatch, pool):
                     assert T[rows].tobytes() == Ti.tobytes()
                     assert lam[rows].tobytes() == lami.tobytes()
     assert pool.sizes
+
+
+def _symmetrizer_by_np_block(basis, h_bar, u_bar, g):
+    """symmetrizer_eig as np.block assembles D and R, with the column signs
+    flipped out of place: the layout that builds fresh 2K x 2K stacks."""
+    Ph, pi, Q = _p_eig(basis, h_bar)
+    Qt = np.swapaxes(Q, -1, -2)
+    sq = np.sqrt(g * pi)
+    G = (Q * sq[..., None, :]) @ Qt
+    Ginv = (Q / sq[..., None, :]) @ Qt
+    Pu = p_operator(basis, u_bar)
+    C = g * (Ginv @ p_operator(basis, _mv(Ph, u_bar)) @ Ginv)
+    off = 0.5 * (Pu - C)
+    D = np.block([[0.5 * (2.0 * G + Pu + C), off], [off, 0.5 * (Pu + C - 2.0 * G)]])
+    lam, L = sym_eig(0.5 * (D + np.swapaxes(D, -1, -2)))
+    idx = np.argmax(np.abs(L), axis=-2)
+    lead = np.take_along_axis(L, idx[..., None, :], axis=-2)[..., 0, :]
+    L = L * np.where(lead < 0.0, -1.0, 1.0)[..., None, :]
+    I = np.broadcast_to(np.eye(basis.K), G.shape)
+    R = np.block([[I, I], [Pu + G, Pu - G]]) / np.sqrt(2.0 * g)
+    return R @ L, lam
+
+
+@pytest.mark.parametrize("K", [1, 3, 5, 9])
+@pytest.mark.parametrize("g", [1.0, 9.81])
+def test_symmetrizer_bitwise_equals_np_block_layout(K, g):
+    # one buffer for S, |L| and R changes no bit of T or Lambda, on random
+    # states in batches of 1, 7 and 300 and a (2, 150, K) stack, and on a
+    # degenerate state: equal deterministic heights at rest, whose 2K
+    # eigenvalues are +-sqrt(g h) K times each
+    basis = build_basis(K)
+    h, q = random_state_batch(np.random.default_rng(20 + K), 300, K)
+    u = exact_u(basis, h, q)
+    rest_h = np.zeros((7, K))
+    rest_h[:, 0] = 1.5
+    cases = [(h[:n], u[:n]) for n in (1, 7, 300)]
+    cases += [(h.reshape(2, 150, K), u.reshape(2, 150, K)), (rest_h, np.zeros((7, K)))]
+    for h_bar, u_bar in cases:
+        T, lam = symmetrizer_eig(basis, h_bar, u_bar, g)
+        T_ref, lam_ref = _symmetrizer_by_np_block(basis, h_bar, u_bar, g)
+        assert T.shape == T_ref.shape and lam.shape == lam_ref.shape
+        assert T.tobytes() == T_ref.tobytes() and lam.tobytes() == lam_ref.tobytes()
+
+
+def test_symmetrizer_working_set(basis9):
+    # K = 9 at 300 interfaces, a dambreak-es2 flux window: the call may hold
+    # at most four (300, 18, 18) float64 stacks at once (np.block's layout
+    # held 6.9); more fresh pages per call are handed back to the kernel and
+    # faulted in again at the next
+    h, q = random_state_batch(np.random.default_rng(21), 300, 9)
+    u = exact_u(basis9, h, q)
+    symmetrizer_eig(basis9, h, u, 1.0)
+    tracemalloc.start()
+    try:
+        symmetrizer_eig(basis9, h, u, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 300 * 18 * 18 * 8
 
 
 # the two ghost layers per side that semidiscrete_rhs gives its cell indices,

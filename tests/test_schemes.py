@@ -23,6 +23,7 @@ from conftest import (
     ghost_padded,
     grid_energy_pair,
     interface_energy_flux,
+    lose_hyperbolicity,
     physical_flux,
     random_hyperbolic_state,
     random_state_batch,
@@ -495,6 +496,26 @@ def test_hyperbolicity_error_names_interior_cell(basis4, policy, factorized):
     error = _assert_positivity_error(
         lambda: integrate(basis4, fld, SchemeKind.ES2, 1.0, 0.45, 0.01), 5, factorized)
     assert error.t == 0.0
+
+
+@pytest.mark.parametrize("scheme", [SchemeKind.ES1, SchemeKind.ES2])
+@pytest.mark.parametrize("policy, index, cell", [("outflow", 4, 12), ("periodic", 1, 19)])
+def test_flux_hyperbolicity_error_names_interior_cell(basis4, monkeypatch, scheme, policy,
+                                                     index, cell):
+    # cells 0-9 are one run, so with outflow ghosts the flux window starts
+    # at padded cell 10, interior cell 8, and its interface 4 lies right of
+    # cell 12; periodic ghosts put cells 18 and 19 first, and interface 1
+    # lies right of cell 19.  The error names that cell, not the window index
+    h, q = random_state_batch(np.random.default_rng(18), 20, 4)
+    h[:10], q[:10] = h[0], q[0]
+    fld = Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.05, x_left=0.0, ghost_policy=policy)
+    solved = velocity(basis4, fld)
+    lose_hyperbolicity(monkeypatch, 4, index)
+    with pytest.raises(HyperbolicityError) as info:
+        semidiscrete_rhs(basis4, solved, scheme, 1.0)
+    assert (info.value.cell, info.value.detail) == (cell, -1.0)
+    assert str(info.value) == ("P(h) not positive definite "
+                               f"(min eigenvalue -1.000000e+00 at cell {cell})")
 
 
 def test_hyperbolicity_error_index_from_last_chunk(basis4, monkeypatch, factorized):

@@ -14,7 +14,7 @@ import sgswe.timestep
 from sgswe.basis import build_basis, p_operator
 from sgswe.cli import SolverConfig, build_experiment
 from sgswe.core import Field, positivity_check, symmetrizer_eig, velocity
-from sgswe.errors import BlowUpError, DtUnderflowError, PositivityError
+from sgswe.errors import BlowUpError, DtUnderflowError, HyperbolicityError, PositivityError
 from sgswe.schemes import SchemeKind, semidiscrete_rhs
 from sgswe.timestep import (
     _speed_bound,
@@ -28,6 +28,7 @@ from sgswe.timestep import (
 from conftest import (
     CountingPool,
     distinct_eyes,
+    lose_hyperbolicity,
     random_state_batch,
     rhs_every_interface,
     velocity_every_cell,
@@ -195,6 +196,24 @@ def test_step_advances_the_desingularized_stage_fields(scheme):
     assert changed == [True, True]
     assert step.field.h.tobytes() == h.tobytes()
     assert step.field.q.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("index, cell", [(0, 0), (5, 6)])
+def test_cfl_hyperbolicity_error_names_interior_cell(monkeypatch, index, cell):
+    # with every speed bound infinite, cfl_dt solves cell 0 (top) alone and
+    # then cells 1-11 as one batch, whose index 5 is cell 6.  The error names
+    # the cell, not the batch index
+    basis = build_basis(4)
+    h, q = random_state_batch(np.random.default_rng(19), 12, 4)
+    fld = Field(h=h, q=q, bottom=np.zeros_like(h), dx=0.05, x_left=0.0)
+    solved = velocity(basis, fld)
+    monkeypatch.setattr(sgswe.timestep, "_speed_bound", lambda basis, vel, g: np.full(12, np.inf))
+    lose_hyperbolicity(monkeypatch, 4, index)
+    with pytest.raises(HyperbolicityError) as info:
+        cfl_dt(basis, solved, 1.0, 0.45)
+    assert (info.value.cell, info.value.detail) == (cell, -1.0)
+    assert str(info.value) == ("P(h) not positive definite "
+                               f"(min eigenvalue -1.000000e+00 at cell {cell})")
 
 
 def test_dt_underflow_raises():

@@ -1,7 +1,9 @@
-"""tools/compare_captures.py on small hand-made capture trees, and
-tools/capture_outputs.py on one tiny config."""
+"""tools/compare_captures.py on small hand-made capture trees,
+tools/capture_outputs.py on one tiny config and tools/fault_probe.py on a
+smoke config."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ def _load(name):
 
 compare_captures = _load("compare_captures")
 capture_outputs = _load("capture_outputs")
+fault_probe = _load("fault_probe")
 
 SNAPSHOT = "x_center,w_mean,w_q005\r\n-0.5,1.5,{q}\r\n0.5,nan,-inf\r\n"
 ENERGY = "t,E_total\r\n0,2.5\r\n0.01,{e}\r\n"
@@ -112,3 +115,26 @@ def test_capture_of_one_config(tmp_path, monkeypatch, capsys):
         assert (mode / "stderr.txt").read_text() == ""
     assert sorted(p.name for p in src.iterdir()) == ["perfbench", "src"]
     assert [p.name for p in (src / "perfbench" / "configs").iterdir()] == ["tiny.cfg"]
+
+
+def test_fault_probe_of_a_smoke_config(tmp_path, monkeypatch, capsys):
+    # two solves of one process, one line each; the CSVs go to a temporary
+    # directory, so the working directory stays empty
+    monkeypatch.chdir(tmp_path)
+    cfg = ROOT / "perfbench" / "configs" / "smoke" / "dambreak-es2.cfg"
+    assert fault_probe.main([str(cfg), "--solves", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["solve 1", "solve 2"]
+    for line in lines:
+        assert re.fullmatch(r"solve \d: \d+ minor faults, \d+\.\d{3} s, \d+ steps", line)
+    assert len({line.rsplit(", ", 1)[1] for line in lines}) == 1  # both reach t_final alike
+    assert not any(tmp_path.iterdir())
+
+
+def test_fault_probe_rejects_bad_arguments(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        fault_probe.main([str(tmp_path / "missing.cfg"), "--solves", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --solves must be at least 1\n")
+    assert fault_probe.main([str(tmp_path / "missing.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config ")
